@@ -545,8 +545,7 @@ type schedTickRow struct {
 
 // runSchedTick simulates a fixed horizon with `declared` tasks of which
 // only `active` ever release (the rest sit one hour out on the release
-// wheels) and returns host-time cost per scheduler tick. Before the wheel
-// refactor the tick scanned every declared task; now cost must track the
+// heaps) and returns host-time cost per scheduler tick, which must track the
 // released-job count alone.
 func runSchedTick(b *testing.B, declared, active int) schedTickRow {
 	b.Helper()
@@ -565,8 +564,8 @@ func runSchedTick(b *testing.B, declared, active int) schedTickRow {
 	for i := 0; i < declared; i++ {
 		d := core.TData{Name: fmt.Sprintf("t%d", i), Period: time.Millisecond}
 		if i >= active {
-			// Cold task: parked an hour out; a full-scan scheduler still
-			// pays for it every tick, a wheel never touches it.
+			// Cold task: parked an hour out, deep in its release heap; a tick
+			// only looks at the heap head.
 			d.Period = time.Hour
 			d.ReleaseOffset = time.Hour
 		}

@@ -496,9 +496,9 @@ func printSummary(rep *scenario.Report) {
 		rep.Sched.Steals, rep.Sched.StealMisses, rep.Sched.Migrations, rep.Sched.IdleWakes,
 		rep.Sched.Signals, rep.Sched.SignalsDeduped, rep.Sched.ViewPublishes)
 	for _, n := range rep.Nodes {
-		fmt.Printf("  node %-5d %d tasks, %d jobs, %d misses; frames %d sent / %d recv / %d dropped / %d rexmit; clock offset %v (%d syncs)\n",
+		fmt.Printf("  node %-5d %d tasks, %d jobs, %d misses; frames %d sent / %d recv / %d dropped; clock offset %v (%d syncs)\n",
 			n.Node, n.Tasks, n.Jobs, n.Misses,
-			n.FramesSent, n.FramesReceived, n.FramesDropped, n.FramesRetransmitted,
+			n.FramesSent, n.FramesReceived, n.FramesDropped,
 			time.Duration(n.ClockOffsetNS).Round(time.Microsecond), n.ClockSamples)
 	}
 	if rep.AccelAcquires > 0 || rep.AccelParks > 0 {

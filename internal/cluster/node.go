@@ -55,11 +55,6 @@ type NodeStats struct {
 	// the transport, in total; the Stale*/Injected/Rejected fields break
 	// it down.
 	FramesDropped uint64 `json:"frames_dropped"`
-	// FramesRetransmitted counts retransmissions. The v1 data plane is
-	// strictly best-effort (no retransmission protocol), so this is
-	// always zero; the counter exists so the summary line and the JSON
-	// schema stay stable when a reliability layer lands.
-	FramesRetransmitted uint64 `json:"frames_retransmitted"`
 
 	StaleSeq     uint64 `json:"stale_seq"`        // seq <= last delivered (loss/reorder/dup)
 	StaleEpoch   uint64 `json:"stale_epoch"`      // frame from >= 2 epochs ago

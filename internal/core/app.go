@@ -67,21 +67,18 @@ type App struct {
 	// Fiber recycling uses the same lock-free freelist scheme as jobs.
 	freeFibHead atomic.Uint64
 
-	// Release shards: one per worker (ready queue + timer wheel + due
-	// scratch behind one leaf lock; see releaseShard). dataPending queues
-	// data-activated tasks whose inputs became ready outside the inline
-	// producer-completion path; it is App.mu state, with dataPendingN
-	// mirroring its length so the tick skips the App.mu phase when empty.
+	// Release shards: one per worker (ready queue + release heap behind one
+	// leaf lock; see releaseShard). dataPending queues data-activated tasks
+	// whose inputs became ready outside the inline producer-completion
+	// path; it is App.mu state, with dataPendingN mirroring its length so
+	// the tick skips the App.mu phase when empty.
 	shards       []*releaseShard
 	dataPending  []*task
 	dataPendingN atomic.Int32
 	// slowDue is the scheduler's scratch for feedback-root releases (roots
 	// with in-edges consume delay tokens, which is graph state) deferred to
-	// the App.mu phase of the tick. schedDue/schedDueOK snapshot each
-	// shard's next wheel deadline during phase 1 (scheduler-thread private).
-	slowDue    []slowRelease
-	schedDue   []time.Duration
-	schedDueOK []bool
+	// the App.mu phase of the tick.
+	slowDue []slowRelease
 
 	// ticking is the tick seqlock: odd while a release pass is in flight.
 	// A worker may retire only when stopping is set and it observes the
@@ -199,23 +196,22 @@ func New(cfg Config, env rt.Env) (*App, error) {
 	a.topics = make([]topic, cfg.MaxChannels)
 	a.edges = make([]edge, cfg.MaxChannels)
 	a.jobPool = make([]job, cfg.MaxPendingJobs)
-	// One shard (ready queue + wheel + leaf lock) per worker, regardless of
-	// mapping: global routes tasks by id modulo shard count and lets idle
-	// workers steal; partitioned routes by VirtCore with no stealing. Each
-	// queue holds the whole pool in the worst case, so migrations and
-	// steals can never overflow a destination queue.
+	// One shard (ready queue + release heap + leaf lock) per worker,
+	// regardless of mapping: global routes tasks by id modulo shard count
+	// and lets idle workers steal; partitioned routes by VirtCore with no
+	// stealing. Each queue holds the whole pool in the worst case, so
+	// migrations and steals can never overflow a destination queue; each
+	// release heap holds the whole task table, so arming never allocates.
 	nq := cfg.Workers
 	a.shards = make([]*releaseShard, nq)
 	for i := range a.shards {
 		a.shards[i] = &releaseShard{
 			q:   newReadyQueue(cfg.MaxPendingJobs),
-			due: make([]*task, 0, cfg.MaxTasks),
+			rel: releaseHeap{h: make([]*task, 0, cfg.MaxTasks)},
 		}
 		a.shards[i].headPrio.Store(noRunPrio)
 	}
 	a.slowDue = make([]slowRelease, 0, cfg.MaxTasks)
-	a.schedDue = make([]time.Duration, nq)
-	a.schedDueOK = make([]bool, nq)
 	a.dataPending = make([]*task, 0, cfg.MaxTasks)
 	a.workers = make([]*workerState, cfg.Workers)
 	for i := range a.workers {
@@ -381,10 +377,8 @@ func (a *App) allocTaskSlot() (*task, TID, error) {
 }
 
 // resetTaskSlot wipes a task slot for a new incarnation, keeping slice
-// capacity and — critically — the wheelGen counter: release-wheel entries of
-// the previous incarnation are invalidated by generation, so the counter
-// must stay monotonic across slot recycling or a stale entry could match a
-// reused generation and double-release the new task.
+// capacity. The slot is never armed here: removal disarms a task before it
+// drains, long before its slot recycles.
 func resetTaskSlot(t *task, id TID) {
 	// Field-wise reset: the struct carries atomics and cannot be copied.
 	t.id = id
@@ -409,10 +403,7 @@ func resetTaskSlot(t *task, id TID) {
 	t.hasIns = false
 	t.fastSel = false
 	t.fastDone = false
-	t.wheelGen.Add(1)
-	t.wheelTick = 0
-	t.wheelLive = false
-	t.wheelShard = 0
+	t.relIdx = -1
 	t.pendingData = false
 }
 
@@ -748,8 +739,8 @@ func (a *App) deriveTaskLocked(t *task) error {
 	// the home shard lock, without App.mu), so rewriting them for a new
 	// epoch takes that lock on top of App.mu (rank 2 -> 3). A home move
 	// (partitioned retune changing VirtCore) is published under the OLD
-	// home's lock, after dropping any wheel entry still bucketed there —
-	// the commit's re-arm pass re-inserts under the new home.
+	// home's lock, after disarming any release still pending there — the
+	// commit's re-arm pass arms it under the new home.
 	sh := a.shards[t.shard.Load()]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -792,7 +783,7 @@ func (a *App) deriveTaskLocked(t *task) error {
 		}
 	}
 	if nsi := int32(a.homeShardOf(t)); nsi != t.shard.Load() {
-		a.wheelRemoveShardLocked(t)
+		sh.rel.disarm(t)
 		t.shard.Store(nsi)
 	}
 	return nil

@@ -14,13 +14,12 @@
 //
 // # Scheduler hot path
 //
-// Periodic releases are organised in hierarchical timing wheels (wheel.go),
-// one per release shard (one shard per ready queue: a single global shard,
-// or one per virtual core under the partitioned mapping). A scheduler tick
-// advances each wheel to the current grid point and touches only the due
-// tasks, so tick cost is O(jobs released) — independent of the declared
-// task count — and grid points at which nothing can fire are slept over
-// entirely. Data-activated (DAG successor) jobs are released inline when
+// Periodic roots wait in a min-heap keyed on (next release, task id)
+// (release.go), one per release shard — one shard per worker under both
+// mappings. A scheduler tick pops each heap's due heads and re-keys them in
+// place, so tick cost is O(log n) per released job — independent of the
+// declared task count — and the heap heads give the exact next release
+// instant, so grid points before it are slept over entirely. Data-activated (DAG successor) jobs are released inline when
 // their producer completes; seeded delay tokens and input backlogs exposed
 // by reconfigurations go through a small catch-up queue drained each tick.
 //

@@ -1108,10 +1108,9 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 	now := t0
 	epoch := int(a.epoch.Load()) + 1
 	rec := trace.ReconfigRecord{Epoch: epoch, At: now}
-	liveWheels := started && a.shards[0].wheel != nil
 
-	// Removed tasks start draining; their pending releases leave the wheel.
-	// Task lifecycle and wheel writes go under the home shard lock (rank
+	// Removed tasks start draining and disarm their pending release. Task
+	// lifecycle and release-heap writes go under the home shard lock (rank
 	// 2 -> 3): the release tick runs under shard locks alone and may be
 	// mid-pass on another shard right now.
 	for _, id := range tx.removeOrder {
@@ -1120,9 +1119,7 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 		sh.mu.Lock()
 		t.state = taskDraining
 		t.retireEpoch = epoch
-		if liveWheels {
-			a.wheelRemoveShardLocked(t)
-		}
+		sh.rel.disarm(t)
 		sh.mu.Unlock()
 		t.draining.Store(true)
 		rec.Retiring = append(rec.Retiring, t.d.Name)
@@ -1235,42 +1232,29 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 		}
 	}
 	a.reapDeadTopicsLocked()
-	// Scheduler grid: the GCD may have changed. The release wheels are
-	// granular at the grid, so a changed grid rebuilds them (O(tasks), only
-	// on grid-changing commits); an unchanged grid updates them
-	// incrementally below (O(changes)).
-	oldGrid := a.schedPeriodNow()
+	// Scheduler grid: the GCD may have changed. Release-heap keys are
+	// absolute instants, so only the transaction's own tasks move: retuned
+	// tasks re-key at their (possibly pulled-in) next release, admitted
+	// periodic roots arm for the first time, and whatever stopped being a
+	// periodic root disarms. A retune that moved the task's home already
+	// disarmed it under the OLD home lock (see deriveTaskLocked), so locking
+	// the current home covers both cases.
 	if a.cfg.SchedulerPeriod == 0 && started {
 		a.schedPeriodNs.Store(int64(a.schedGCD()))
 	}
-	if liveWheels && a.schedPeriodNow() != oldGrid {
-		a.rebuildWheelsLocked(now)
-	} else if liveWheels {
-		// Retuned tasks re-arm at their (possibly pulled-in) next release;
-		// admitted periodic roots arm for the first time. A retune that moved
-		// the task's home already dropped the old shard's entry (derivation
-		// removes it under the OLD home lock before publishing the move), so
-		// locking the current home covers both remove and insert here.
-		for _, id := range tx.retuneOrder {
-			t := &a.tasks[id]
-			si := int(t.shard.Load())
-			sh := a.shards[si]
-			sh.mu.Lock()
-			a.wheelRemoveShardLocked(t)
-			if t.state == taskRunning && t.root && t.d.Period > 0 && !t.d.Sporadic {
-				a.wheelInsertShardLocked(sh, si, t)
+	if started {
+		for _, ids := range [2][]TID{tx.retuneOrder, tx.addedTasks} {
+			for _, id := range ids {
+				t := &a.tasks[id]
+				sh := a.shards[t.shard.Load()]
+				sh.mu.Lock()
+				if t.periodicRoot() {
+					sh.rel.arm(t)
+				} else {
+					sh.rel.disarm(t)
+				}
+				sh.mu.Unlock()
 			}
-			sh.mu.Unlock()
-		}
-		for _, id := range tx.addedTasks {
-			t := &a.tasks[id]
-			si := int(t.shard.Load())
-			sh := a.shards[si]
-			sh.mu.Lock()
-			if t.state == taskRunning && t.root && t.d.Period > 0 && !t.d.Sporadic {
-				a.wheelInsertShardLocked(sh, si, t)
-			}
-			sh.mu.Unlock()
 		}
 	}
 	// Input backlogs the transaction exposed (delay-token seeds on staged

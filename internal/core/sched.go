@@ -50,23 +50,16 @@ func (a *App) Start(c rt.Ctx) error {
 	} else {
 		a.schedPeriodNs.Store(int64(a.schedGCD()))
 	}
-	// Fresh release shards for this run: wheel granularity is the scheduler
-	// grid, so every periodic release instant falls exactly on a wheel tick.
-	// Everything here runs quiescent (no worker/scheduler threads yet), so
-	// no shard locks are needed.
-	gran := a.schedPeriodNow()
+	// Fresh release shards for this run. Everything here runs quiescent (no
+	// worker/scheduler threads yet), so no shard locks are needed.
 	for _, sh := range a.shards {
-		sh.wheel = newTimerWheel(gran, a.startTime)
-		sh.due = sh.due[:0]
+		sh.rel.reset()
 		for sh.q.len() > 0 {
 			sh.q.pop()
 		}
 		sh.nready.Store(0)
 		sh.headPrio.Store(noRunPrio)
 		sh.headSeq.Store(0)
-	}
-	for i := range a.schedDueOK {
-		a.schedDueOK[i] = false
 	}
 	a.slowDue = a.slowDue[:0]
 	a.dataPending = a.dataPending[:0]
@@ -76,8 +69,6 @@ func (a *App) Start(c rt.Ctx) error {
 	a.jobsLive.Store(0)
 	for i := 0; i < a.ntasks; i++ {
 		t := &a.tasks[i]
-		t.wheelLive = false
-		t.wheelGen.Add(1)
 		t.pendingData = false
 		if t.state == taskRetired {
 			continue
@@ -86,9 +77,8 @@ func (a *App) Start(c rt.Ctx) error {
 		t.nextRelease = a.startTime + t.d.ReleaseOffset
 		t.lastActivation = 0
 		t.everActivated = false
-		if t.root && t.d.Period > 0 && !t.d.Sporadic {
-			si := int(t.shard.Load())
-			a.wheelInsertShardLocked(a.shards[si], si, t)
+		if t.periodicRoot() {
+			a.shards[t.shard.Load()].rel.arm(t)
 		}
 	}
 	// Reset graph edges and pre-seed delay tokens (feedback loops fire
@@ -270,10 +260,10 @@ func (a *App) threadExit() { a.liveThreads.Add(-1) }
 // the activation grid (the GCD of all task periods), releases due jobs,
 // dispatches them to worker queues, wakes idle workers and sends preemption
 // signals. Between ticks it sleeps (WaitSleep) — unlike Mollison & Anderson,
-// it never contends with workers for CPU time. Grid points at which the
-// release wheels hold nothing due are skipped entirely: the thread sleeps
-// straight to the next populated instant, so an idle or sparse schedule
-// costs nothing per empty tick.
+// it never contends with workers for CPU time. Grid points before the
+// earliest armed release are skipped entirely: the thread sleeps straight to
+// the first grid point at or after it, so an idle or sparse schedule costs
+// nothing per empty tick.
 //
 // The loop never takes App.mu in steady state: releases run per shard under
 // the leaf locks (phase 1), and only feedback roots or pending data
@@ -297,7 +287,7 @@ func (a *App) schedulerLoop(c rt.Ctx) {
 			a.wakeAllWorkers()
 			return
 		}
-		released := a.releaseDue(c, t0)
+		released, due, armed := a.releaseDue(c, t0)
 		a.ticking.Add(1) // close the window (even)
 		if released > 0 {
 			a.dispatch(c)
@@ -309,12 +299,11 @@ func (a *App) schedulerLoop(c rt.Ctx) {
 		// overrun snaps forward to the next point without drifting.
 		period := a.schedPeriodNow()
 		next := a.startTime + ((c.Now()-a.startTime)/period+1)*period
-		if wheelNext, ok := a.nextWheelDue(); ok && wheelNext > next {
-			// Nothing can fire before wheelNext: snap it up to the grid and
-			// sleep through the empty ticks. Commits that admit or retune
-			// tasks interrupt the sleep, so a new earlier release is never
-			// missed.
-			k := (wheelNext - a.startTime + period - 1) / period
+		if armed && due > next {
+			// Nothing can fire before due: snap it up to the grid and sleep
+			// through the empty ticks. Commits that admit or retune tasks
+			// interrupt the sleep, so a new earlier release is never missed.
+			k := (due - a.startTime + period - 1) / period
 			next = a.startTime + k*period
 		}
 		c.Charge(costs.TimerProgram)
@@ -327,53 +316,48 @@ func (a *App) schedulerLoop(c rt.Ctx) {
 }
 
 // releaseDue runs the two-phase release pass. Phase 1 visits each shard
-// under its own leaf lock: the wheel advances, pure periodic roots release
-// inline into the shard's queue, feedback roots (in-edges = graph state)
-// defer to phase 2, and the shard's next-due instant is snapshotted for the
-// sleep computation. Modelled bookkeeping cost accumulates per shard and is
-// charged after the lock drops. Phase 2 runs under App.mu only when
-// feedback roots or pending data activations exist — the steady state skips
-// it entirely, keeping App.mu off the release path.
-func (a *App) releaseDue(c rt.Ctx, now time.Duration) int {
+// under its own leaf lock: the release heap's due heads pop, pure periodic
+// roots release inline into the shard's queue and re-arm for their next
+// period, feedback roots (in-edges = graph state) defer to phase 2, and the
+// earliest still-armed release across shards is folded into (due, armed) for
+// the scheduler's sleep computation. Modelled bookkeeping cost accumulates
+// per shard and is charged after the lock drops. Phase 2 runs under App.mu
+// only when feedback roots or pending data activations exist — the steady
+// state skips it entirely, keeping App.mu off the release path.
+func (a *App) releaseDue(c rt.Ctx, now time.Duration) (released int, due time.Duration, armed bool) {
 	costs := a.env.Costs()
-	released := 0
 	a.slowDue = a.slowDue[:0]
 	for si, sh := range a.shards {
 		var cost time.Duration
 		sh.mu.Lock()
-		if sh.wheel != nil {
-			sh.due = sh.due[:0]
-			sh.wheel.advanceTo(sh.wheel.tickAt(now), &sh.due)
-			for _, t := range sh.due {
-				// The modelled scan prices exactly the entries touched.
-				cost += costs.StaticScanPerItem
-				if t.state != taskRunning || t.d.Period <= 0 || t.d.Sporadic || !t.root {
+		t := sh.rel.peek()
+		for ; t != nil && t.nextRelease <= now; t = sh.rel.peek() {
+			// The modelled scan prices exactly the entries touched.
+			cost += costs.StaticScanPerItem
+			if !t.periodicRoot() {
+				sh.rel.disarm(t)
+				continue
+			}
+			for t.nextRelease <= now {
+				rel := t.nextRelease
+				t.nextRelease += t.d.Period
+				if t.hasIns {
+					// A periodic root with (delayed) feedback in-edges only
+					// fires when every feedback token is present — token
+					// state is graph state, so defer to phase 2.
+					a.slowDue = append(a.slowDue, slowRelease{t: t, rel: rel})
 					continue
 				}
-				for t.nextRelease <= now {
-					rel := t.nextRelease
-					t.nextRelease += t.d.Period
-					if t.hasIns {
-						// A periodic root with (delayed) feedback in-edges
-						// only fires when every feedback token is present —
-						// token state is graph state, so defer to phase 2.
-						a.slowDue = append(a.slowDue, slowRelease{t: t, rel: rel})
-						continue
-					}
-					cost += costs.QueueOpBase
-					if a.releaseJobShardLocked(sh, si, t, rel, rel) != nil {
-						cost += queueOpCost(costs, sh.q)
-						released++
-					}
+				cost += costs.QueueOpBase
+				if a.releaseJobShardLocked(sh, si, t, rel, rel) != nil {
+					cost += queueOpCost(costs, sh.q)
+					released++
 				}
-				a.wheelInsertShardLocked(sh, si, t) // re-arm for the next period
 			}
-			if tick, live := sh.wheel.nextDueTick(); live {
-				a.schedDue[si] = sh.wheel.epoch + time.Duration(tick)*sh.wheel.gran
-				a.schedDueOK[si] = true
-			} else {
-				a.schedDueOK[si] = false
-			}
+			sh.rel.arm(t) // re-key the head in place for the next period
+		}
+		if t != nil && (!armed || t.nextRelease < due) {
+			due, armed = t.nextRelease, true
 		}
 		sh.mu.Unlock()
 		if cost > 0 {
@@ -402,7 +386,7 @@ func (a *App) releaseDue(c rt.Ctx, now time.Duration) int {
 		released += a.releasePendingDataLocked(c, now)
 		a.mu.Unlock(c)
 	}
-	return released
+	return released, due, armed
 }
 
 // releasePendingDataLocked fires queued data-activated tasks whose inputs
@@ -444,71 +428,6 @@ func (a *App) noteDataReadyLocked(t *task) {
 	t.pendingData = true
 	a.dataPending = append(a.dataPending, t)
 	a.dataPendingN.Store(int32(len(a.dataPending)))
-}
-
-// wheelInsertShardLocked buckets a periodic root for its next release on
-// sh's wheel. Caller holds sh.mu (or runs quiescent) with si == t.shard.
-//
-//yasmin:noalloc
-func (a *App) wheelInsertShardLocked(sh *releaseShard, si int, t *task) {
-	t.wheelShard = si
-	sh.wheel.insert(t, t.nextRelease)
-}
-
-// wheelRemoveShardLocked drops a task's pending release entry, if any.
-// Caller holds the lock of the shard recorded in t.wheelShard.
-//
-//yasmin:noalloc
-func (a *App) wheelRemoveShardLocked(t *task) {
-	if !t.wheelLive {
-		return
-	}
-	a.shards[t.wheelShard].wheel.remove(t)
-}
-
-// nextWheelDue folds the per-shard next-due snapshots taken by the last
-// phase-1 pass. Scheduler-thread private; no locks.
-//
-//yasmin:noalloc
-func (a *App) nextWheelDue() (time.Duration, bool) {
-	var best time.Duration
-	ok := false
-	for i := range a.shards {
-		if a.schedDueOK[i] {
-			if !ok || a.schedDue[i] < best {
-				best, ok = a.schedDue[i], true
-			}
-		}
-	}
-	return best, ok
-}
-
-// rebuildWheelsLocked rebuilds every shard wheel from scratch — needed when
-// the activation grid itself changes (a reconfiguration retuned the GCD), so
-// release instants stay exactly representable at the new granularity. Caller
-// holds App.mu; each shard is quiesced one leaf lock at a time (never two at
-// once).
-func (a *App) rebuildWheelsLocked(now time.Duration) {
-	gran := a.schedPeriodNow()
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-		sh.wheel = newTimerWheel(gran, a.startTime)
-		sh.wheel.advanceTo(sh.wheel.tickAt(now), &sh.due) // cursor to "now"; nothing due in an empty wheel
-		sh.due = sh.due[:0]
-		sh.mu.Unlock()
-	}
-	for i := 0; i < a.ntasks; i++ {
-		t := &a.tasks[i]
-		si := int(t.shard.Load())
-		sh := a.shards[si]
-		sh.mu.Lock()
-		t.wheelLive = false
-		t.wheelGen.Add(1)
-		if t.state == taskRunning && t.root && t.d.Period > 0 && !t.d.Sporadic {
-			a.wheelInsertShardLocked(sh, si, t)
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // fillJob initialises a freshly allocated job of t. Caller holds the sync

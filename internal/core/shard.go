@@ -1,6 +1,7 @@
 package core
 
-// Sharded scheduler support: the epoch-published scheduling snapshot
+// Sharded scheduler support: the release shard (ready queue + release heap
+// behind one leaf lock), the epoch-published scheduling snapshot
 // (schedView), the intrusive idle-worker list, and the shard-targeted
 // enqueue helper shared by the scheduler tick, the workers, and the
 // accelerator arbitration paths.
@@ -8,7 +9,7 @@ package core
 // Lock hierarchy (outermost first), enforced by yasmin-vet's lockorder
 // analyzer via the lockrank annotations on each lock:
 //
-//	reconfigMu(1) -> App.mu(2) -> queueMu[i](3) -> idleMu(4)
+//	reconfigMu(1) -> App.mu(2) -> shard.mu[i](3) -> idleMu(4)
 //	              -> {Recorder, Overheads, EnergyMeter}(5) -> {Stat, Battery}(6)
 //
 // All shard locks share one rank (and one analyzer identity), so no code
@@ -17,9 +18,55 @@ package core
 // each acquisition instead of nesting.
 
 import (
+	"math"
+	"sync"
+	"sync/atomic"
+
 	"github.com/yasmin-rt/yasmin/internal/rt"
 	"github.com/yasmin-rt/yasmin/internal/trace"
 )
+
+// releaseShard is one leaf of the sharded scheduler core: a ready queue and
+// the release heap holding the shard's armed periodic roots, guarded by one
+// leaf lock. There is one shard per worker under both mappings (global
+// routes tasks by id modulo shard count, partitioned by VirtCore). Worker i
+// owns shard i: it pops its own queue under the shard lock and, under the
+// global mapping, steals from a sibling's shard by taking only that
+// sibling's lock. App.mu is never required on this path.
+//
+// Lock discipline: shard.mu ranks BELOW App.mu, so commit paths holding
+// App.mu may take a shard lock, but never two shard locks at once (see the
+// hierarchy above).
+type releaseShard struct {
+	//yasmin:lockrank 3 nosleep
+	mu  sync.Mutex
+	q   *readyQueue
+	rel releaseHeap
+	// nready mirrors q.len() for lock-free load probing (steal victim
+	// selection, dispatch wake counts, idle workers' pre-park re-check).
+	nready atomic.Int32
+	// headPrio/headSeq mirror the queue head's priority key for the lock-free
+	// preemption scan; they may tear relative to each other, so decisions
+	// based on them are re-validated under the shard lock.
+	headPrio atomic.Int64
+	headSeq  atomic.Int64
+}
+
+// noRunPrio is the head/current mirror sentinel for "nothing here".
+const noRunPrio = int64(math.MaxInt64)
+
+// updateHeadLocked refreshes the head mirrors; caller holds sh.mu.
+//
+//yasmin:noalloc
+func (sh *releaseShard) updateHeadLocked() {
+	if h := sh.q.peek(); h != nil {
+		sh.headPrio.Store(h.effPrio.Load())
+		sh.headSeq.Store(h.seq)
+	} else {
+		sh.headPrio.Store(noRunPrio)
+		sh.headSeq.Store(0)
+	}
+}
 
 // schedView is the immutable scheduling snapshot published at Start and at
 // every reconfiguration commit. Readers load it through App.view with a

@@ -17,7 +17,7 @@ import (
 // three queues stay empty — the other workers can only make progress by
 // stealing. While that runs, one thread churns a transient compute task
 // (admit/retire) and another retunes a hot publisher's period, so steals
-// interleave with schedView republication, wheel rebuilds and retirement
+// interleave with schedView republication, release re-arming and retirement
 // quiescence. Under overload two jobs of one task can legitimately run
 // concurrently (the next release is stolen onto another worker while the
 // previous job still computes), so entries carry atomically allocated
@@ -170,8 +170,8 @@ func TestStealChurnRaceOSEnv(t *testing.T) {
 		}
 	})
 
-	// Churner 2: retune a hot publisher's period back and forth, so wheel
-	// re-insertion and schedView republication race the steal scans that
+	// Churner 2: retune a hot publisher's period back and forth, so release
+	// re-keying and schedView republication race the steal scans that
 	// read the task's tables lock-free.
 	env.Spawn("churn-retune", rt.UnpinnedCore, func(c rt.Ctx) {
 		defer churners.Add(-1)

@@ -154,8 +154,8 @@ type version struct {
 //
 // Locking: the scheduling-hot fields (state, nextRelease, lastActivation,
 // everActivated, jobSeq, effDeadline, staticPrio, root, hasIns, fastSel,
-// fastDone, the wheel bookkeeping and d itself) are guarded by the task's
-// HOME SHARD lock (shards[t.shard].mu): the scheduler tick and TaskActivate
+// fastDone, relIdx and d itself) are guarded by the task's HOME SHARD lock
+// (shards[t.shard].mu): the scheduler tick and TaskActivate
 // read and write them under the shard lock alone, and a reconfiguration
 // commit — which holds App.mu — additionally takes the home shard lock
 // around every write. Graph fields (outEdges/inEdges, pendingData) remain
@@ -167,7 +167,7 @@ type task struct {
 	// state is the reconfiguration lifecycle state; written under App.mu
 	// plus the task's home shard lock, read under either.
 	state taskState
-	// shard is the task's home release shard (queue + wheel). Readers
+	// shard is the task's home release shard (queue + release heap). Readers
 	// resolve the home lock with a load/lock/re-validate loop: a commit
 	// moving the task (partitioned retune) stores the new index under the
 	// OLD shard's lock, so a reader that re-reads the same index after
@@ -220,26 +220,21 @@ type task struct {
 	// finishes the job without App.mu.
 	fastDone bool
 
-	// Timer-wheel bookkeeping (periodic roots only; see wheel.go). wheelGen
-	// invalidates bucketed entries lazily, wheelTick is the pending release
-	// tick, wheelLive reports whether a live entry exists. wheelGen is
-	// atomic: slot recycling (reconfiguration staging) bumps it while a
-	// sibling shard's tick may still be gen-checking stale entries of the
-	// previous incarnation under only that shard's lock. The rest guarded by
-	// the home shard lock.
-	wheelGen   atomic.Uint64
-	wheelTick  int64
-	wheelLive  bool
-	wheelShard int // shard whose wheel holds the live entry
-	// wheelLvl/wheelSlot locate the live entry inside its wheel so the
-	// per-slot occupancy counters can be maintained without slot walks;
-	// wheelLvl is -1 for overflow-list entries.
-	wheelLvl  int8
-	wheelSlot int16
+	// relIdx is the task's slot in its home shard's release heap, -1 while
+	// not armed (periodic roots only; see release.go).
+	relIdx int32
 	// pendingData marks a data-activated task queued on the scheduler's
 	// catch-up list (seeded delay tokens, post-commit input backlogs).
 	// Guarded by App.mu (graph state).
 	pendingData bool
+}
+
+// periodicRoot reports whether the scheduler releases t on its period — the
+// tasks that belong on a release heap. Caller holds t's home shard lock.
+//
+//yasmin:noalloc
+func (t *task) periodicRoot() bool {
+	return t.state == taskRunning && t.root && t.d.Period > 0 && !t.d.Sporadic
 }
 
 // edge is a producer->consumer dependency created by ChannelConnect. The

@@ -519,7 +519,6 @@ const (
 	OverheadDispatch                         // pushing/popping ready queues + wakeups
 	OverheadPreempt                          // signal + context switch costs
 	OverheadLock                             // lock contention (spinning/futex)
-	OverheadRelease                          // job release bookkeeping
 )
 
 var overheadNames = map[OverheadKind]string{
@@ -527,7 +526,6 @@ var overheadNames = map[OverheadKind]string{
 	OverheadDispatch: "dispatch",
 	OverheadPreempt:  "preempt",
 	OverheadLock:     "lock",
-	OverheadRelease:  "release",
 }
 
 func (k OverheadKind) String() string {
