@@ -696,7 +696,8 @@ func (a *App) resolve() error {
 		if err := a.deriveTaskLocked(t); err != nil {
 			return err
 		}
-		t.nextRelease = 0
+		// nextRelease is left alone: the task may still sit in the previous
+		// run's release heap, and Start re-keys every task after resetting it.
 		t.lastActivation = 0
 		t.everActivated = false
 		t.jobSeq = 0

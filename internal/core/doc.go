@@ -19,9 +19,10 @@
 // mappings. A scheduler tick pops each heap's due heads and re-keys them in
 // place, so tick cost is O(log n) per released job — independent of the
 // declared task count — and the heap heads give the exact next release
-// instant, so grid points before it are slept over entirely. Data-activated (DAG successor) jobs are released inline when
-// their producer completes; seeded delay tokens and input backlogs exposed
-// by reconfigurations go through a small catch-up queue drained each tick.
+// instant, so grid points before it are slept over entirely. Data-activated
+// (DAG successor) jobs are released inline when their producer completes;
+// seeded delay tokens and input backlogs exposed by reconfigurations go
+// through a small catch-up queue drained each tick.
 //
 // # Extensions beyond the paper
 //

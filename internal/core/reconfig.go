@@ -1155,7 +1155,9 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 	}
 	// Retunes take effect from the next release; a shortened period pulls
 	// the next release in so activation latency is bounded by the new
-	// period, not the old one.
+	// period, not the old one. An armed task re-keys in the same lock hold
+	// that moves its instant (the releaseHeap contract): the heap is in
+	// order whenever the shard lock is free, whatever the retune order.
 	for _, id := range tx.retuneOrder {
 		t := &a.tasks[id]
 		sh := a.shards[t.shard.Load()]
@@ -1163,6 +1165,9 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 		t.d = tx.retunes[id]
 		if started && t.d.Period > 0 && !t.d.Sporadic && t.nextRelease > now+t.d.Period {
 			t.nextRelease = now + t.d.Period
+			if t.relIdx >= 0 {
+				sh.rel.arm(t)
+			}
 		}
 		sh.mu.Unlock()
 		rec.Retuned = append(rec.Retuned, t.d.Name)
@@ -1233,12 +1238,13 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 	}
 	a.reapDeadTopicsLocked()
 	// Scheduler grid: the GCD may have changed. Release-heap keys are
-	// absolute instants, so only the transaction's own tasks move: retuned
-	// tasks re-key at their (possibly pulled-in) next release, admitted
-	// periodic roots arm for the first time, and whatever stopped being a
-	// periodic root disarms. A retune that moved the task's home already
-	// disarmed it under the OLD home lock (see deriveTaskLocked), so locking
-	// the current home covers both cases.
+	// absolute instants, so only the transaction's own tasks move: admitted
+	// periodic roots and retuned tasks that became one (or changed home) arm,
+	// and whatever stopped being a periodic root disarms. Pulled-in retunes
+	// re-keyed above, so arming them again moves nothing; no key changes
+	// here. A retune that moved the task's home already disarmed it under
+	// the OLD home lock (see deriveTaskLocked), so locking the current home
+	// covers both cases.
 	if a.cfg.SchedulerPeriod == 0 && started {
 		a.schedPeriodNs.Store(int64(a.schedGCD()))
 	}

@@ -12,6 +12,12 @@ package core
 // ever armed on its home shard (shards[t.shard]); moving a task disarms it
 // under the old home's lock first. The backing array is sized once in New,
 // so arming never allocates.
+//
+// An armed task's nextRelease is its heap key: it may only change together
+// with arm(t), inside one hold of the home shard's lock. fix repairs ONE
+// changed key against neighbours assumed in order, so writing several keys
+// and arming afterwards can strand an entry under a later parent — a late
+// release — and exposes a non-heap to a concurrent tick in between.
 type releaseHeap struct {
 	h []*task
 }

@@ -29,16 +29,23 @@ func popDue(r *releaseHeap, now time.Duration) []*task {
 	return due
 }
 
-// checkRelHeap verifies the intrusive index and the heap order.
-func checkRelHeap(t *testing.T, r *releaseHeap) {
-	t.Helper()
+// relHeapErr verifies the intrusive index and the heap order.
+func relHeapErr(r *releaseHeap) error {
 	for i, tk := range r.h {
 		if int(tk.relIdx) != i {
-			t.Fatalf("slot %d holds task %d with relIdx %d", i, tk.id, tk.relIdx)
+			return fmt.Errorf("slot %d holds task %d with relIdx %d", i, tk.id, tk.relIdx)
 		}
 		if i > 0 && relBefore(tk, r.h[(i-1)/2]) {
-			t.Fatalf("slot %d (task %d) orders before its parent", i, tk.id)
+			return fmt.Errorf("slot %d (task %d) orders before its parent", i, tk.id)
 		}
+	}
+	return nil
+}
+
+func checkRelHeap(t *testing.T, r *releaseHeap) {
+	t.Helper()
+	if err := relHeapErr(r); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -156,6 +163,38 @@ func TestReleaseHeapEqualInstantsPopInIDOrder(t *testing.T) {
 	}
 }
 
+// TestReleaseHeapBatchRekeyArmsEachUnderItsKeyWrite pins the contract a
+// multi-task retune relies on: each key write is followed by its own arm, so
+// pulling in a child before its ancestor — both above an untouched entry —
+// leaves the heap in order and every task due at its new instant.
+func TestReleaseHeapBatchRekeyArmsEachUnderItsKeyWrite(t *testing.T) {
+	r := newRelHeap(8)
+	tasks := make([]*task, 8)
+	for i, at := range []int{10, 50, 60, 100, 110, 120, 130, 140} {
+		tasks[i] = relTask(i, ms(at))
+		r.arm(tasks[i])
+	}
+	child, parent := tasks[7], tasks[3]
+	if (child.relIdx-1)/2 != parent.relIdx {
+		t.Fatalf("setup: slot %d is not a child of slot %d", child.relIdx, parent.relIdx)
+	}
+	for _, rk := range []struct {
+		tk *task
+		at time.Duration
+	}{{child, ms(30)}, {parent, ms(20)}} {
+		rk.tk.nextRelease = rk.at
+		r.arm(rk.tk)
+		checkRelHeap(t, r)
+	}
+	var order []TID
+	for _, tk := range popDue(r, ms(50)) {
+		order = append(order, tk.id)
+	}
+	if fmt.Sprint(order) != "[0 3 7 1]" {
+		t.Fatalf("pop order %v, want [0 3 7 1]", order)
+	}
+}
+
 // TestReleaseHeapPeriodicRearmExact drives the scheduler's pattern — sleep
 // to the head's instant, release, re-key the head in place — and requires
 // every firing at exactly the task's own instant.
@@ -202,8 +241,8 @@ func TestSchedTickCostIndependentOfDeclaredTasks(t *testing.T) {
 	}
 }
 
-// TestReleaseHeapModel checks random arm / re-key / disarm / tick sequences
-// against a sorted-slice model.
+// TestReleaseHeapModel checks random arm / re-key / batch re-key / disarm /
+// tick sequences against a sorted-slice model.
 func TestReleaseHeapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 300
@@ -224,6 +263,13 @@ func TestReleaseHeapModel(t *testing.T) {
 		case op < 7:
 			r.disarm(tk)
 			delete(armed, tk)
+		case op < 8: // batch re-key: one transaction moving many armed tasks
+			for _, i := range rng.Perm(n)[:1+rng.Intn(64)] {
+				if m := tasks[i]; armed[m] {
+					m.nextRelease = now + time.Duration(rng.Int63n(int64(ms(50))))
+					r.arm(m)
+				}
+			}
 		default: // tick
 			now += time.Duration(rng.Int63n(int64(ms(5))))
 			var want []*task
@@ -304,6 +350,86 @@ func TestRetuneGridChangeLeavesBystandersPeriodic(t *testing.T) {
 		for k, rel := range releases[i] {
 			if at := r.app.startTime + d.ReleaseOffset + time.Duration(k)*d.Period; rel != at {
 				t.Fatalf("%s: release %d at %v, want %v", d.Name, k, rel, at)
+			}
+		}
+	}
+}
+
+// TestRetuneManyOnOneShardPullsEveryReleaseIn shortens 96 armed tasks of one
+// shard in a single transaction, in shuffled order, with untouched
+// bystanders keyed between the old and the new instants. The heap must be in
+// order the moment the commit returns, and every retuned task's first
+// post-commit release must be the commit instant plus its new period,
+// dispatched at the next grid tick — not stranded under a later parent.
+func TestRetuneManyOnOneShardPullsEveryReleaseIn(t *testing.T) {
+	const retuned, bystanders = 96, 8
+	type firing struct{ rel, at time.Duration }
+	r := newRig(t, Config{Workers: 1, Priority: PriorityEDF, MaxTasks: 128, MaxPendingJobs: 256}, nil)
+	fired := make([][]firing, bystanders+retuned)
+	decl := func(i int, d TData) TID {
+		tid, err := r.app.TaskDecl(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.app.VersionDecl(tid, func(x *ExecCtx, _ any) error {
+			fired[i] = append(fired[i], firing{x.Release(), x.Now()})
+			return x.Compute(10 * time.Microsecond)
+		}, nil, VSelect{WCET: 10 * time.Microsecond}); err != nil {
+			t.Fatal(err)
+		}
+		return tid
+	}
+	for i := 0; i < bystanders; i++ {
+		decl(i, TData{Name: fmt.Sprintf("by%d", i), Period: ms(200), ReleaseOffset: ms(5 * i)})
+	}
+	ids := make([]TID, retuned)
+	newPeriod := func(k int) time.Duration { return ms(20 + 5*(k%7)) }
+	for k := range ids {
+		ids[k] = decl(bystanders+k, TData{Name: fmt.Sprintf("rt%d", k), Period: time.Second, ReleaseOffset: ms(k)})
+	}
+	var grid time.Duration
+	r.runMain(t, ms(400), func(c rt.Ctx) {
+		c.SleepUntil(ms(105))
+		if err := r.app.Reconfigure(c, func(tx *Reconfig) error {
+			for _, k := range rand.New(rand.NewSource(3)).Perm(retuned) {
+				if err := tx.Retune(ids[k], TData{Name: fmt.Sprintf("rt%d", k), Period: newPeriod(k), ReleaseOffset: ms(k)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Errorf("Retune: %v", err)
+		}
+		grid = r.app.schedPeriodNow()
+		sh := r.app.shards[0]
+		sh.mu.Lock()
+		if err := relHeapErr(&sh.rel); err != nil {
+			t.Errorf("release heap after the commit: %v", err)
+		}
+		sh.mu.Unlock()
+	})
+	recs := r.app.Recorder().Reconfigs()
+	if len(recs) != 1 {
+		t.Fatalf("%d reconfig records, want 1", len(recs))
+	}
+	for k := 0; k < retuned; k++ {
+		f := fired[bystanders+k]
+		if len(f) < 2 {
+			t.Fatalf("rt%d: %d releases, want the initial one and the pulled-in ones", k, len(f))
+		}
+		for j, x := range f[1:] {
+			if want := recs[0].At + time.Duration(j+1)*newPeriod(k); x.rel != want {
+				t.Fatalf("rt%d: post-commit release %d at %v, want %v", k, j, x.rel, want)
+			}
+			if late := x.at - x.rel; late > grid+ms(2) {
+				t.Fatalf("rt%d: release %v dispatched %v late", k, x.rel, late)
+			}
+		}
+	}
+	for i := 0; i < bystanders; i++ {
+		for j, x := range fired[i] {
+			if want := r.app.startTime + ms(5*i) + time.Duration(j)*ms(200); x.rel != want {
+				t.Fatalf("by%d: release %d at %v, want %v", i, j, x.rel, want)
 			}
 		}
 	}

@@ -191,7 +191,8 @@ type task struct {
 	// root marks periodic or sporadic tasks (released by the scheduler /
 	// TaskActivate); non-roots are data-activated.
 	root bool
-	// nextRelease is the next periodic release instant.
+	// nextRelease is the next periodic release instant — the release-heap
+	// key while armed: change it only together with arm (see releaseHeap).
 	nextRelease time.Duration
 	// lastActivation enforces sporadic minimum inter-arrival.
 	lastActivation time.Duration
