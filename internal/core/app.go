@@ -54,6 +54,18 @@ type App struct {
 	edges   []edge
 	nedges  int
 
+	// byName indexes every non-retired task slot that carries a name
+	// (admitted, running, draining or staged) under that name, so a name
+	// lookup costs O(incarnations of the name), not O(task table). It is
+	// read and written under mu, and changes only where a slot gains or
+	// loses a name: TaskDecl and Reconfig.AddTask append, finishRetireLocked
+	// and Reconfig.rollback remove (Retune cannot rename). A staged slot in
+	// a list always belongs to the open transaction: reconfigMu admits one
+	// transaction at a time and no slot outlives it in taskStaged (commit
+	// admits every staged slot, rollback retires it), so state == taskStaged
+	// means "staged by this transaction" without scanning its added list.
+	byName map[string][]TID
+
 	// jobPool recycles through a lock-free Treiber freelist: freeJobHead
 	// packs (generation<<32 | poolIdx+1), jobs link via job.nextFree, and
 	// the generation counter defeats ABA. jobsLive counts in-flight jobs;
@@ -233,6 +245,7 @@ func New(cfg Config, env rt.Env) (*App, error) {
 // It clears all declarations; it must not be called while started.
 func (a *App) Init() {
 	a.ntasks = 0
+	a.byName = make(map[string][]TID, len(a.tasks))
 	a.naccels = 0
 	a.ntopics = 0
 	a.ntopicsA.Store(0)
@@ -421,6 +434,7 @@ func (a *App) TaskDecl(d TData) (TID, error) {
 		return -1, err
 	}
 	t.d = d
+	a.indexTaskName(t)
 	return id, nil
 }
 
@@ -620,31 +634,67 @@ func (a *App) taskByID(t TID) (*task, error) {
 	return tk, nil
 }
 
-// taskIDByName returns the most recently declared non-retired task with the
-// given name, or -1. Draining incarnations are only returned when no
-// running/admitted task holds the name (name reuse across a drain).
-func (a *App) taskIDByName(name string) TID {
-	best := TID(-1)
-	for i := 0; i < a.ntasks; i++ {
-		t := &a.tasks[i]
-		if t.d.Name != name {
-			continue
+// indexTaskName adds a slot that just gained its name to byName. Caller
+// holds the lock (or the App is quiescent).
+func (a *App) indexTaskName(t *task) {
+	a.byName[t.d.Name] = append(a.byName[t.d.Name], t.id)
+}
+
+// unindexTaskName drops a slot that is losing its name from byName,
+// deleting the key with its last slot so the index never outgrows the live
+// names. Caller holds the lock (or the App is quiescent).
+func (a *App) unindexTaskName(t *task) {
+	ids := a.byName[t.d.Name]
+	for i, id := range ids {
+		if id == t.id {
+			ids[i] = ids[len(ids)-1]
+			ids = ids[:len(ids)-1]
+			break
 		}
-		switch t.state {
+	}
+	if len(ids) == 0 {
+		delete(a.byName, t.d.Name)
+	} else {
+		a.byName[t.d.Name] = ids
+	}
+}
+
+// taskIDByName returns the highest admitted/running TID with the given
+// name, else the lowest draining one (name reuse across a drain), else -1;
+// staged slots are ignored. Caller holds the lock (or the App is quiescent).
+func (a *App) taskIDByName(name string) TID {
+	live, draining := TID(-1), TID(-1)
+	for _, id := range a.byName[name] {
+		switch a.tasks[id].state {
 		case taskAdmitted, taskRunning:
-			best = t.id
+			live = max(live, id)
 		case taskDraining:
-			if best < 0 {
-				best = t.id
+			if draining < 0 || id < draining {
+				draining = id
 			}
 		}
 	}
-	return best
+	if live >= 0 {
+		return live
+	}
+	return draining
 }
 
-// TaskIDByName returns the TID of the named live task, or -1. Like the other
-// declaration-surface accessors it must not race a concurrent Reconfigure;
-// call it from declaration time, task code, or after the run.
+// stagedTaskByName returns the slot the open transaction staged under name,
+// or -1 (see byName for why taskStaged identifies it). Caller holds the lock.
+func (a *App) stagedTaskByName(name string) TID {
+	for _, id := range a.byName[name] {
+		if a.tasks[id].state == taskStaged {
+			return id
+		}
+	}
+	return -1
+}
+
+// TaskIDByName returns the TID of the named live task, or -1. It reads the
+// name index without the App lock, which a concurrent retirement writes, so
+// call it only at declaration time or after Cleanup; inside a transaction
+// use Reconfig.TaskID.
 func (a *App) TaskIDByName(name string) TID { return a.taskIDByName(name) }
 
 // Epoch returns the number of committed reconfiguration transactions.
@@ -1050,6 +1100,7 @@ func (a *App) freeJob(c rt.Ctx, j *job) {
 // the reconfiguration hot path. Caller holds the lock.
 func (a *App) finishRetireLocked(t *task, now time.Duration) {
 	a.setTaskStateLocked(t, taskRetired)
+	a.unindexTaskName(t)
 	t.draining.Store(false)
 	for _, c := range t.pubTopics {
 		tp := &a.topics[c]

@@ -267,13 +267,21 @@ func (a *App) SwitchMode(c rt.Ctx, name string) error {
 
 // --- transaction operations -------------------------------------------------
 
+// isStagedTask reports whether t is a slot this transaction staged (see
+// App.byName for why the slot state alone says so). The state is read under
+// the home shard lock, where every lifecycle write happens, so AddVersion
+// and UseAccel need not take App.mu for it.
 func (tx *Reconfig) isStagedTask(t TID) bool {
-	for _, id := range tx.addedTasks {
-		if id == t {
-			return true
-		}
+	a := tx.a
+	if int(t) < 0 || int(t) >= a.ntasks {
+		return false
 	}
-	return false
+	tk := &a.tasks[t]
+	sh := a.shards[tk.shard.Load()]
+	sh.mu.Lock()
+	staged := tk.state == taskStaged
+	sh.mu.Unlock()
+	return staged
 }
 
 func (tx *Reconfig) isStagedTopic(c CID) bool {
@@ -341,10 +349,8 @@ func (tx *Reconfig) AddTask(d TData) (TID, error) {
 			return -1, fmt.Errorf("core: task %q already declared", d.Name)
 		}
 	}
-	for _, id := range tx.addedTasks {
-		if a.tasks[id].d.Name == d.Name {
-			return -1, fmt.Errorf("core: task %q staged twice", d.Name)
-		}
+	if a.stagedTaskByName(d.Name) >= 0 {
+		return -1, fmt.Errorf("core: task %q staged twice", d.Name)
 	}
 	t, id, err := a.allocTaskSlot()
 	if err != nil {
@@ -352,6 +358,7 @@ func (tx *Reconfig) AddTask(d TData) (TID, error) {
 	}
 	t.d = d
 	a.setTaskStateLocked(t, taskStaged)
+	a.indexTaskName(t)
 	tx.addedTasks = append(tx.addedTasks, id)
 	return id, nil
 }
@@ -650,10 +657,8 @@ func (tx *Reconfig) TaskID(name string) TID {
 	a := tx.a
 	a.mu.Lock(tx.c)
 	defer a.mu.Unlock(tx.c)
-	for _, id := range tx.addedTasks {
-		if a.tasks[id].d.Name == name {
-			return id
-		}
+	if id := a.stagedTaskByName(name); id >= 0 {
+		return id
 	}
 	if id := a.taskIDByName(name); id >= 0 && !tx.removeTasks[id] &&
 		(a.tasks[id].state == taskRunning || a.tasks[id].state == taskAdmitted) {
@@ -703,6 +708,7 @@ func (tx *Reconfig) rollback() {
 	for _, id := range tx.addedTasks {
 		t := &a.tasks[id]
 		a.setTaskStateLocked(t, taskRetired)
+		a.unindexTaskName(t)
 		t.versions = t.versions[:0]
 		a.freeTaskSlots = append(a.freeTaskSlots, int(id))
 	}
