@@ -9,12 +9,11 @@
 // injection:
 //
 //	yasmin-stress -scenario scenarios/smoke.yaml
-//	yasmin-stress -scenario scenarios/scale10k.yaml -out BENCH_scale.json
+//	yasmin-stress -scenario scenarios/scale10k.yaml -out scale10k.json
 //
 // The exit status is non-zero when the checker finds violations, making the
-// command usable as a CI gate. With -out, the report is merged into the
-// given JSON file under the "scenarios" key (the same file
-// BenchmarkSchedTick writes its tick-scaling rows into).
+// command usable as a CI gate. With -out, the report is written to the given
+// file as one JSON document (overwriting it).
 //
 // With -export FILE the run streams every trace record (jobs, reconfig
 // epochs, retirements, accel events) through the telemetry pipeline into a
@@ -50,16 +49,6 @@
 // live checker; with -diff each single-node file also runs differentially:
 //
 //	yasmin-stress -corpus scenarios/corpus
-//
-// -ratchet BASE is the CI perf gate: it compares the "sched_tick"
-// ns-per-released-job rows of the current benchmark file (-out, default
-// BENCH_scale.json) against the committed baseline BASE and exits non-zero
-// when any shape regressed beyond -ratchet-tolerance (default 15%), so
-// scheduler speed wins are ratcheted rather than transient:
-//
-//	cp BENCH_scale.json /tmp/base.json
-//	go test -bench BenchmarkSchedTick -benchtime=1x -run '^$' .
-//	yasmin-stress -ratchet /tmp/base.json
 package main
 
 import (
@@ -82,7 +71,7 @@ func main() {
 		scenarioPath = flag.String("scenario", "", "scenario file (.yaml/.yml/.json); required unless -replay")
 		seed         = flag.Int64("seed", -1, "override the scenario seed (-1 keeps the file's)")
 		duration     = flag.Duration("duration", 0, "override the scenario duration (0 keeps the file's)")
-		out          = flag.String("out", "", "merge the JSON report into this file under the \"scenarios\" key")
+		out          = flag.String("out", "", "write the JSON report to this file")
 		quiet        = flag.Bool("quiet", false, "suppress the human-readable summary")
 		export       = flag.String("export", "", "stream the run's trace records into this JSONL file, then verify it by replay (cluster runs write one .node<i>.jsonl per node)")
 		replay       = flag.String("replay", "", "verify previously exported JSONL streams and exit (comma-separated per-node files reconcile as one cluster run; -scenario optional, supplies accel_wait_bound)")
@@ -90,18 +79,8 @@ func main() {
 		shrinkFlag   = flag.Bool("shrink", false, "with -fuzz: minimise failing scenarios to small reproducers before reporting them")
 		diffFlag     = flag.Bool("diff", false, "with -fuzz/-corpus: additionally run each single-node scenario on the OS backend and diff checker-visible behaviour")
 		corpus       = flag.String("corpus", "", "replay every scenario file in this directory through the live checker and exit")
-		ratchet      = flag.String("ratchet", "", "compare \"sched_tick\" ns/released-job rows in the -out file (default BENCH_scale.json) against this baseline file and exit non-zero on regression beyond -ratchet-tolerance")
-		ratchetTol   = flag.Float64("ratchet-tolerance", 0.15, "fractional regression tolerance for -ratchet (0.15 = 15%)")
 	)
 	flag.Parse()
-
-	if *ratchet != "" {
-		cur := *out
-		if cur == "" {
-			cur = "BENCH_scale.json"
-		}
-		os.Exit(ratchetMain(*ratchet, cur, *ratchetTol, *quiet))
-	}
 
 	if *fuzzN > 0 {
 		base := *seed
@@ -208,7 +187,7 @@ func main() {
 		printSummary(rep)
 	}
 	if *out != "" {
-		if err := mergeReport(*out, rep); err != nil {
+		if err := writeReport(*out, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "yasmin-stress: %v\n", err)
 			os.Exit(1)
 		}
@@ -516,35 +495,11 @@ func printSummary(rep *scenario.Report) {
 	}
 }
 
-// mergeReport read-modify-writes the report into path under
-// "scenarios".<name>, preserving whatever else (e.g. BenchmarkSchedTick's
-// "sched_tick" rows) the file holds.
-func mergeReport(path string, rep *scenario.Report) error {
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("%s: existing file is not a JSON object: %w", path, err)
-		}
-	}
-	scenarios := map[string]json.RawMessage{}
-	if raw, ok := doc["scenarios"]; ok {
-		if err := json.Unmarshal(raw, &scenarios); err != nil {
-			return fmt.Errorf("%s: \"scenarios\" key: %w", path, err)
-		}
-	}
-	repRaw, err := json.Marshal(rep)
+// writeReport writes the report to path as one indented JSON document.
+func writeReport(path string, rep *scenario.Report) error {
+	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
-	scenarios[rep.Scenario] = repRaw
-	scRaw, err := json.Marshal(scenarios)
-	if err != nil {
-		return err
-	}
-	doc["scenarios"] = scRaw
-	outData, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(outData, '\n'), 0o644)
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

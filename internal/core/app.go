@@ -330,13 +330,16 @@ func (a *App) FirstError() error {
 
 // recordTaskError counts a task-function failure and keeps the first one;
 // termination sentinels are not failures. Shared by the online and offline
-// completion paths.
+// completion paths. Every job passes through here, so only the failure path
+// may allocate: taking the parameter's address would move it to the heap on
+// every call.
 func (a *App) recordTaskError(err error) {
 	if err == nil || errors.Is(err, ErrTerminated) {
 		return
 	}
 	a.taskErrors.Add(1)
-	a.firstError.CompareAndSwap(nil, &err)
+	first := err
+	a.firstError.CompareAndSwap(nil, &first)
 }
 
 // SetBattery attaches a battery model used by SelectEnergy and drained by

@@ -537,6 +537,20 @@ func TestTaskFuncErrorsAreCounted(t *testing.T) {
 	}
 }
 
+// Every completion records its job's error; a job that succeeded must not
+// pay an allocation for it.
+func TestRecordTaskErrorNilDoesNotAllocate(t *testing.T) {
+	a := &App{}
+	if avg := testing.AllocsPerRun(1000, func() { a.recordTaskError(nil) }); avg != 0 {
+		t.Errorf("recordTaskError(nil) allocates %.1f objects, want 0", avg)
+	}
+	a.recordTaskError(errTest)
+	a.recordTaskError(ErrTerminated)
+	if a.TaskErrors() != 1 || a.FirstError() != errTest {
+		t.Errorf("TaskErrors %d FirstError %v, want 1 and %v", a.TaskErrors(), a.FirstError(), errTest)
+	}
+}
+
 var errTest = &testError{}
 
 type testError struct{}

@@ -495,6 +495,9 @@ func TestOverheadsAreRecorded(t *testing.T) {
 	if r.app.Overheads().Total().Count() == 0 {
 		t.Error("no overhead samples recorded")
 	}
+	if st := r.app.Overheads().Kind(1); st == nil || st.Count() == 0 { // OverheadSchedule
+		t.Error("no scheduler tick recorded")
+	}
 	if st := r.app.Overheads().Kind(2); st == nil { // OverheadDispatch
 		t.Error("no dispatch overhead recorded")
 	}

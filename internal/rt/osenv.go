@@ -97,6 +97,9 @@ type osThread struct {
 	unpark chan struct{}
 	intr   chan struct{}
 	done   atomic.Bool
+	// timer is Sleep's, created on first use and re-armed after: only the
+	// owning thread sleeps, and a scheduler tick must not allocate.
+	timer *time.Timer
 }
 
 func (t *osThread) Name() string     { return t.name }
@@ -132,12 +135,20 @@ func (c *osCtx) Sleep(d time.Duration) bool {
 		runtime.Gosched()
 		return c.pollInterrupt()
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	// Since Go 1.23 Reset and Stop discard an expired, unreceived tick, so
+	// a re-armed timer never fires early.
+	timer := c.th.timer
+	if timer == nil {
+		timer = time.NewTimer(d)
+		c.th.timer = timer
+	} else {
+		timer.Reset(d)
+	}
 	select {
 	case <-timer.C:
 		return false
 	case <-c.th.intr:
+		timer.Stop()
 		return true
 	}
 }

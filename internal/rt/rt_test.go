@@ -247,6 +247,32 @@ func TestOSEnvSleepInterrupted(t *testing.T) {
 	env.Wait()
 }
 
+// Sleep re-arms one timer per thread: it allocates nothing once the thread
+// has slept, and an interrupted sleep leaves no stale tick that would cut
+// the next one short.
+func TestOSEnvSleepReusesTimer(t *testing.T) {
+	env := NewOSEnv()
+	env.Spin = false
+	env.RunMain(func(c Ctx) {
+		c.Sleep(time.Microsecond)
+		if avg := testing.AllocsPerRun(50, func() { c.Sleep(10 * time.Microsecond) }); avg != 0 {
+			t.Errorf("Sleep allocates %.1f objects per call, want 0", avg)
+		}
+		for i := 0; i < 5; i++ {
+			c.Self().Interrupt()
+			for !c.Sleep(time.Microsecond) { // interrupt and expiry race
+			}
+			t0 := c.Now()
+			if c.Sleep(2 * time.Millisecond) {
+				t.Fatal("spurious interrupt")
+			}
+			if got := c.Now() - t0; got < 2*time.Millisecond {
+				t.Fatalf("re-armed 2ms sleep returned after %v", got)
+			}
+		}
+	})
+}
+
 func TestOSEnvUnparkTokenBuffered(t *testing.T) {
 	env := NewOSEnv()
 	env.Spin = false

@@ -20,7 +20,7 @@ import (
 )
 
 // Report is the machine-readable outcome of one scenario run — the
-// BENCH_scale.json payload.
+// document `yasmin-stress -out` writes.
 type Report struct {
 	Scenario string `json:"scenario"`
 	Seed     int64  `json:"seed"`

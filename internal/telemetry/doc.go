@@ -15,8 +15,8 @@
 //   - One writer goroutine drains the ring into a reused batch and hands it
 //     to the Sink when the batch is full or the oldest buffered event
 //     exceeds the flush age. Batching amortises encoding buffers and write
-//     syscalls; BatchSize 1 degenerates to one write per record (the
-//     unbatched comparison in BENCH_telemetry.json).
+//     syscalls; BatchSize 1 degenerates to one write per record. The
+//     benchmark's telemetry.sink_ns_per_rec probe times the batched path.
 //   - Sequence numbers make loss visible end to end: a dropped event
 //     consumes its number, so a replay of the exported stream can prove
 //     exactly how many records were lost (gaps) and that none were silently
