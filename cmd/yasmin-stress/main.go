@@ -114,11 +114,8 @@ func main() {
 		if sc != nil {
 			bound = sc.AccelWaitBound.Std()
 		}
-		paths := strings.Split(*replay, ",")
-		if len(paths) > 1 {
-			os.Exit(replayVerifyCluster(paths, bound, *quiet))
-		}
-		os.Exit(replayVerify(*replay, bound, *quiet))
+		_, rc := replayVerify(strings.Split(*replay, ","), bound, *quiet)
+		os.Exit(rc)
 	}
 	if sc == nil {
 		fmt.Fprintln(os.Stderr, "yasmin-stress: -scenario is required")
@@ -126,54 +123,40 @@ func main() {
 		os.Exit(2)
 	}
 
+	// One pipeline per node: each node's trace records (and in a cluster
+	// its frame events and cluster-epoch marks) land in their own stamped
+	// file. The runner attaches them blocking: the sim producer can outrun
+	// the disk, so it waits for ring space rather than drop, and the export
+	// is lossless by construction.
 	var opts scenario.RunOpts
-	var pipe *telemetry.Pipeline
-	var nodePipes []*telemetry.Pipeline
-	var nodePaths []string
+	var paths []string
 	if *export != "" {
+		nodes := 1
 		if sc.Nodes != nil {
-			// One pipeline per node: each node's trace records, frame events
-			// and cluster-epoch marks land in their own stamped file.
-			nodePipes = make([]*telemetry.Pipeline, sc.Nodes.Count)
-			nodePaths = make([]string, sc.Nodes.Count)
-			for i := range nodePipes {
-				nodePaths[i] = nodeExportPath(*export, i)
-				sink, err := telemetry.NewFileSink(nodePaths[i])
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "yasmin-stress: %v\n", err)
-					os.Exit(1)
-				}
-				if nodePipes[i], err = telemetry.New(sink, telemetry.Options{Node: i}); err != nil {
-					fmt.Fprintf(os.Stderr, "yasmin-stress: %v\n", err)
-					os.Exit(1)
-				}
+			nodes = sc.Nodes.Count
+		}
+		for i := 0; i < nodes; i++ {
+			path := *export
+			if sc.Nodes != nil {
+				path = nodeExportPath(*export, i)
 			}
-			opts.NodeTelemetry = nodePipes
-		} else {
-			sink, err := telemetry.NewFileSink(*export)
+			sink, err := telemetry.NewFileSink(path)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "yasmin-stress: %v\n", err)
 				os.Exit(1)
 			}
-			pipe, err = telemetry.New(sink, telemetry.Options{})
+			pipe, err := telemetry.New(sink, telemetry.Options{Node: i})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "yasmin-stress: %v\n", err)
 				os.Exit(1)
 			}
-			// The sim producer can outrun the disk; block for ring space
-			// rather than drop so the export is lossless by construction.
-			opts.Telemetry = pipe.Blocking()
+			paths = append(paths, path)
+			opts.NodeTelemetry = append(opts.NodeTelemetry, pipe)
 		}
 	}
 
 	rep, err := scenario.RunWith(sc, opts)
-	if pipe != nil {
-		if cerr := pipe.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "yasmin-stress: export: %v\n", cerr)
-			os.Exit(1)
-		}
-	}
-	for _, p := range nodePipes {
+	for _, p := range opts.NodeTelemetry {
 		if cerr := p.Close(); cerr != nil {
 			fmt.Fprintf(os.Stderr, "yasmin-stress: export: %v\n", cerr)
 			os.Exit(1)
@@ -193,27 +176,15 @@ func main() {
 		}
 	}
 	status := 0
-	if pipe != nil {
-		st := pipe.Stats()
-		if !*quiet {
-			fmt.Printf("  export     %s: %d records in %d batches, %d dropped\n",
-				*export, st.Exported, st.Batches, st.Dropped)
-		}
-		if rc := exportVerify(*export, rep, sc.AccelWaitBound.Std(), *quiet); rc != 0 {
-			status = rc
-		}
-	}
-	if nodePipes != nil {
-		for i, p := range nodePipes {
+	if paths != nil {
+		for i, p := range opts.NodeTelemetry {
 			st := p.Stats()
 			if !*quiet {
 				fmt.Printf("  export     %s: %d records in %d batches, %d dropped\n",
-					nodePaths[i], st.Exported, st.Batches, st.Dropped)
+					paths[i], st.Exported, st.Batches, st.Dropped)
 			}
 		}
-		if rc := clusterExportVerify(nodePaths, rep, *quiet); rc != 0 {
-			status = rc
-		}
+		status = exportVerify(paths, rep, sc.AccelWaitBound.Std(), *quiet)
 	}
 	if len(rep.Violations) > 0 {
 		fmt.Fprintf(os.Stderr, "yasmin-stress: %d invariant violations\n", len(rep.Violations))
@@ -335,39 +306,6 @@ func corpusMain(dir string, diff, quiet bool) int {
 	return rc
 }
 
-// replayVerify reloads an exported stream, re-runs the scenario invariants
-// on it and reports transport losslessness; 0 = clean.
-func replayVerify(path string, bound time.Duration, quiet bool) int {
-	st, err := telemetry.ReplayFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "yasmin-stress: %v\n", err)
-		return 2
-	}
-	viol := scenario.CheckStream(st, scenario.StreamCheckOpts{AccelWaitBound: bound})
-	lost := st.Lost()
-	if !quiet {
-		fmt.Printf("replay %s\n", path)
-		fmt.Printf("  stream     %d events: %d jobs, %d reconfigs, %d retires, %d accel\n",
-			len(st.Events), len(st.Jobs), len(st.Reconfigs), len(st.Retires), len(st.Accels))
-		if st.Summary != nil {
-			fmt.Printf("  trailer    published=%d exported=%d dropped=%d batches=%d\n",
-				st.Summary.Published, st.Summary.Exported, st.Summary.Dropped, st.Summary.Batches)
-		}
-		fmt.Printf("  lost       %d records\n", lost)
-	}
-	if len(viol) > 0 || lost > 0 {
-		fmt.Fprintf(os.Stderr, "yasmin-stress: replay %s: %d lost records, %d violations\n", path, lost, len(viol))
-		for _, v := range viol {
-			fmt.Fprintf(os.Stderr, "    - %s\n", v)
-		}
-		return 1
-	}
-	if !quiet {
-		fmt.Printf("  replay     PASS (0 violations, 0 lost records)\n")
-	}
-	return 0
-}
-
 // nodeExportPath derives node i's export file from the -export base:
 // base.jsonl -> base.node<i>.jsonl.
 func nodeExportPath(path string, node int) string {
@@ -375,24 +313,31 @@ func nodeExportPath(path string, node int) string {
 	return fmt.Sprintf("%s.node%d%s", strings.TrimSuffix(path, ext), node, ext)
 }
 
-// replayVerifyCluster reloads the per-node exports of one cluster run and
-// reconciles them: each stream checks individually, frame accounting closes
-// across files, epoch histories agree; 0 = clean.
-func replayVerifyCluster(paths []string, bound time.Duration, quiet bool) int {
+// replayVerify reloads the exports of one run — one file, or one per node
+// of a cluster — re-runs the scenario invariants on them, reconciles them
+// (frame accounting closes across files, epoch histories agree) and
+// reports transport losslessness. It returns the streams for exportVerify
+// and an exit status (0 = clean).
+func replayVerify(paths []string, bound time.Duration, quiet bool) ([]*telemetry.Stream, int) {
 	sts := make([]*telemetry.Stream, len(paths))
 	var lost uint64
 	for i, path := range paths {
-		st, err := telemetry.ReplayFile(strings.TrimSpace(path))
+		path = strings.TrimSpace(path)
+		st, err := telemetry.ReplayFile(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "yasmin-stress: %v\n", err)
-			return 2
+			return nil, 2
 		}
 		sts[i] = st
 		lost += st.Lost()
 		if !quiet {
-			fmt.Printf("replay %s (node %d)\n", strings.TrimSpace(path), st.Node())
-			fmt.Printf("  stream     %d events: %d jobs, %d frames, %d cluster epochs\n",
-				len(st.Events), len(st.Jobs), len(st.Frames), len(st.CEpochs))
+			fmt.Printf("replay %s (node %d)\n", path, st.Node())
+			fmt.Printf("  stream     %d events: %d jobs, %d reconfigs, %d retires, %d accel, %d frames, %d cluster epochs\n",
+				len(st.Events), len(st.Jobs), len(st.Reconfigs), len(st.Retires), len(st.Accels), len(st.Frames), len(st.CEpochs))
+			if st.Summary != nil {
+				fmt.Printf("  trailer    published=%d exported=%d dropped=%d batches=%d\n",
+					st.Summary.Published, st.Summary.Exported, st.Summary.Dropped, st.Summary.Batches)
+			}
 		}
 	}
 	viol := scenario.CheckStreams(sts, scenario.StreamCheckOpts{AccelWaitBound: bound})
@@ -401,62 +346,45 @@ func replayVerifyCluster(paths []string, bound time.Duration, quiet bool) int {
 		for _, v := range viol {
 			fmt.Fprintf(os.Stderr, "    - %s\n", v)
 		}
-		return 1
+		return sts, 1
 	}
 	if !quiet {
-		fmt.Printf("  replay     PASS (%d node streams reconciled, 0 violations, 0 lost records)\n", len(sts))
+		fmt.Printf("  replay     PASS (%d streams reconciled, 0 violations, 0 lost records)\n", len(sts))
 	}
-	return 0
+	return sts, 0
 }
 
-// clusterExportVerify reconciles the just-written per-node exports and
-// cross-checks them against the live report: the streams must jointly carry
-// every job the cluster ran and every node must have logged the full
-// cluster-epoch history.
-func clusterExportVerify(paths []string, rep *scenario.Report, quiet bool) int {
-	rc := replayVerifyCluster(paths, 0, quiet)
-	var jobs int64
-	for _, path := range paths {
-		st, err := telemetry.ReplayFile(path)
-		if err != nil {
-			return 2
-		}
+// exportVerify replays the just-written exports and additionally
+// cross-checks their record counts against the live run's report — the
+// end-to-end proof that everything the recorders saw reached the files:
+// the streams jointly carry every job and retirement, and every node
+// logged every committed epoch (and, in a cluster, every cluster-epoch
+// mark).
+func exportVerify(paths []string, rep *scenario.Report, bound time.Duration, quiet bool) int {
+	sts, rc := replayVerify(paths, bound, quiet)
+	if sts == nil {
+		return rc
+	}
+	mismatch := func(what string, got, want int64) {
+		fmt.Fprintf(os.Stderr, "yasmin-stress: export: streams hold %d %s, live run recorded %d\n", got, what, want)
+		rc = 1
+	}
+	var jobs, retires int64
+	for i, st := range sts {
 		jobs += int64(len(st.Jobs))
-		if len(st.CEpochs) != rep.Epochs {
-			fmt.Fprintf(os.Stderr, "yasmin-stress: export %s: node %d logged %d cluster epochs, run committed %d\n",
-				path, st.Node(), len(st.CEpochs), rep.Epochs)
-			rc = 1
+		retires += int64(len(st.Retires))
+		if len(st.Reconfigs) != rep.Epochs {
+			mismatch(fmt.Sprintf("reconfig epochs in %s", paths[i]), int64(len(st.Reconfigs)), int64(rep.Epochs))
+		}
+		if rep.Nodes != nil && len(st.CEpochs) != rep.Epochs {
+			mismatch(fmt.Sprintf("cluster epochs in %s", paths[i]), int64(len(st.CEpochs)), int64(rep.Epochs))
 		}
 	}
 	if jobs != rep.Jobs {
-		fmt.Fprintf(os.Stderr, "yasmin-stress: export: streams hold %d jobs, live run recorded %d\n", jobs, rep.Jobs)
-		rc = 1
+		mismatch("jobs", jobs, rep.Jobs)
 	}
-	return rc
-}
-
-// exportVerify replays the just-written export and additionally cross-checks
-// the stream's record counts against the live run's report — the end-to-end
-// proof that everything the recorder saw reached the file.
-func exportVerify(path string, rep *scenario.Report, bound time.Duration, quiet bool) int {
-	rc := replayVerify(path, bound, quiet)
-	st, err := telemetry.ReplayFile(path)
-	if err != nil {
-		return 2
-	}
-	mismatch := func(what string, got, want int64) {
-		fmt.Fprintf(os.Stderr, "yasmin-stress: export %s: stream has %d %s, live run recorded %d\n",
-			path, got, what, want)
-		rc = 1
-	}
-	if int64(len(st.Jobs)) != rep.Jobs {
-		mismatch("jobs", int64(len(st.Jobs)), rep.Jobs)
-	}
-	if len(st.Reconfigs) != rep.Epochs {
-		mismatch("reconfig epochs", int64(len(st.Reconfigs)), int64(rep.Epochs))
-	}
-	if len(st.Retires) != rep.Retires {
-		mismatch("retirements", int64(len(st.Retires)), int64(rep.Retires))
+	if retires != int64(rep.Retires) {
+		mismatch("retirements", retires, int64(rep.Retires))
 	}
 	return rc
 }

@@ -68,7 +68,8 @@ type TopicAccount struct {
 //   - drain-before-retire: a retired task's last job activity precedes its
 //     RetireEvent instant — nothing runs past retirement;
 //   - admission monotonicity: committed epochs are consecutive, rejected
-//     transactions leave the epoch (and the task set) untouched;
+//     transactions leave the epoch (and the task set) untouched — on every
+//     node of a cluster, which commits at one common cluster epoch;
 //   - accelerator arbitration (replayed from the trace's AccelEvents): no
 //     instance is granted or taken while a strictly more urgent job is
 //     parked on the pool (a boosted holder finishes — releases — before
@@ -96,7 +97,7 @@ type Checker struct {
 	attempts []admissionAttempt
 
 	// accelWaitBound arms the inversion-duration invariant (zero = off);
-	// accelStats is filled by the Finish replay.
+	// accelStats sums the Finish replays over the nodes.
 	accelWaitBound time.Duration
 	accelStats     AccelStats
 }
@@ -330,14 +331,55 @@ func (ck *Checker) noteAttempt(a admissionAttempt) {
 	ck.mu.Unlock()
 }
 
-// Finish runs the end-of-run verdicts against the application's recorders
-// and returns every violation found (nil means a clean run).
-func (ck *Checker) Finish(app *core.App) []string {
+// Finish runs the end-of-run verdicts against the run's applications — one
+// per node, a single one without a nodes section — and returns every
+// violation found (nil means a clean run). With several nodes, each
+// node's own verdicts carry its id in their context.
+func (ck *Checker) Finish(apps ...*core.App) []string {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 
 	ck.checkTopicsLocked()
 
+	// Admission monotonicity: commits bump the driver's epoch (the cluster
+	// epoch in a cluster) by exactly one and rejections don't move it; the
+	// driver itself flags any rejection that is not the typed
+	// schedulability error.
+	commits := 0
+	for _, a := range ck.attempts {
+		if a.err == nil {
+			commits++
+			if a.epochAfter != a.epochBefore+1 {
+				ck.violationLocked("%s at %v: committed but epoch went %d -> %d",
+					a.action, a.at, a.epochBefore, a.epochAfter)
+			}
+		} else if a.epochAfter != a.epochBefore {
+			ck.violationLocked("%s at %v: rejected (%v) but epoch went %d -> %d",
+				a.action, a.at, a.err, a.epochBefore, a.epochAfter)
+		}
+	}
+
+	node := ck.ctx.Node
+	var taskErrors int64
+	for i, app := range apps {
+		if len(apps) > 1 {
+			ck.ctx.Node = i
+		}
+		ck.finishAppLocked(app, commits)
+		taskErrors += app.TaskErrors()
+	}
+	ck.ctx.Node = node
+
+	// Failure injection round-trips through the error accounting.
+	if taskErrors != ck.injected {
+		ck.violationLocked("task errors: middleware counted %d, checker injected %d", taskErrors, ck.injected)
+	}
+	return ck.renderLocked()
+}
+
+// finishAppLocked runs the verdicts of one node's application; commits is
+// the number of transactions the driver committed. Callers hold ck.mu.
+func (ck *Checker) finishAppLocked(app *core.App, commits int) {
 	// Drain-before-retire: no retired task saw job activity past its
 	// retirement instant.
 	for _, re := range app.Recorder().Retires() {
@@ -355,19 +397,17 @@ func (ck *Checker) Finish(app *core.App) []string {
 		}
 	}
 
-	// Admission monotonicity: commits bump the epoch by exactly one,
-	// rejections don't move it, and every rejection is the typed
-	// schedulability error (never a structural failure of a generated
-	// transaction, and never a panic-shaped mystery).
-	ck.checkAdmission(app.Recorder().Reconfigs())
+	// The application committed exactly the driver's transactions, at
+	// consecutive epochs: in a cluster, a node ahead of or behind the
+	// others means a two-phase commit was not atomic.
+	recs := app.Recorder().Reconfigs()
+	ck.checkEpochs(recs)
+	if commits != len(recs) {
+		ck.violationLocked("driver committed %d transactions, recorder has %d epochs", commits, len(recs))
+	}
 
 	// Accelerator arbitration: replay the PIP events.
 	ck.checkAccel(app.Recorder().AccelEvents())
-
-	// Failure injection round-trips through the error accounting.
-	if got := app.TaskErrors(); got != ck.injected {
-		ck.violationLocked("task errors: middleware counted %d, checker injected %d", got, ck.injected)
-	}
 
 	// Sharded scheduler counters. Partitioned placements pin every job to
 	// its home shard, so work stealing and dispatcher migrations must be
@@ -383,8 +423,6 @@ func (ck *Checker) Finish(app *core.App) []string {
 		ck.violationLocked("schedView published %d times over %d epochs (want epochs+1): snapshot out of sync with commits",
 			st.ViewPublishes, app.Epoch())
 	}
-
-	return ck.renderLocked()
 }
 
 // checkTopicsLocked runs the no-lost-entries verdict: every subscriber
@@ -411,46 +449,6 @@ func (ck *Checker) checkTopicsLocked() {
 	}
 }
 
-// FinishCluster is the cluster-mode verdict: the topic data-plane
-// invariants (with the lossy relaxation for cross-node topics) plus the
-// admission audit on every member application — committed epochs must be
-// consecutive on each node, and all nodes must have committed the same
-// number of cluster transactions. The single-app audits that need
-// instrumented churn bodies (drain-before-retire, accelerator arbitration,
-// task-error accounting) do not apply: cluster churn is pure admission and
-// never retires tasks.
-func (ck *Checker) FinishCluster(apps []*core.App) []string {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	ck.checkTopicsLocked()
-	commits := 0
-	for _, a := range ck.attempts {
-		if a.err == nil {
-			commits++
-			if a.epochAfter != a.epochBefore+1 {
-				ck.violationLocked("%s at %v: committed but cluster epoch went %d -> %d",
-					a.action, a.at, a.epochBefore, a.epochAfter)
-			}
-		} else if a.epochAfter != a.epochBefore {
-			ck.violationLocked("%s at %v: rejected (%v) but cluster epoch went %d -> %d",
-				a.action, a.at, a.err, a.epochBefore, a.epochAfter)
-		}
-	}
-	for node, app := range apps {
-		recs := app.Recorder().Reconfigs()
-		for i, r := range recs {
-			if r.Epoch != i+1 {
-				ck.violationLocked("node %d: reconfig record %d has epoch %d (epochs must be consecutive)", node, i, r.Epoch)
-			}
-		}
-		if len(recs) != commits {
-			ck.violationLocked("node %d committed %d epochs, cluster driver committed %d (nodes diverged)",
-				node, len(recs), commits)
-		}
-	}
-	return ck.renderLocked()
-}
-
 // checkEpochs verifies that committed reconfiguration records carry
 // consecutive epochs starting at 1 — shared between the live verdict and
 // the telemetry-stream replay (CheckStream).
@@ -459,26 +457,6 @@ func (ck *Checker) checkEpochs(recs []trace.ReconfigRecord) {
 		if r.Epoch != i+1 {
 			ck.violationLocked("reconfig record %d has epoch %d (epochs must be consecutive)", i, r.Epoch)
 		}
-	}
-}
-
-func (ck *Checker) checkAdmission(recs []trace.ReconfigRecord) {
-	ck.checkEpochs(recs)
-	commits := 0
-	for _, a := range ck.attempts {
-		if a.err == nil {
-			commits++
-			if a.epochAfter != a.epochBefore+1 {
-				ck.violationLocked("%s at %v: committed but epoch went %d -> %d",
-					a.action, a.at, a.epochBefore, a.epochAfter)
-			}
-		} else if a.epochAfter != a.epochBefore {
-			ck.violationLocked("%s at %v: rejected (%v) but epoch went %d -> %d",
-				a.action, a.at, a.err, a.epochBefore, a.epochAfter)
-		}
-	}
-	if commits != len(recs) {
-		ck.violationLocked("driver committed %d transactions, recorder has %d epochs", commits, len(recs))
 	}
 }
 
@@ -583,7 +561,10 @@ func (ck *Checker) checkAccel(events []trace.AccelEvent) {
 			delete(holders, e.Accel)
 		}
 	}
-	ck.accelStats = st
+	ck.accelStats.Acquires += st.Acquires
+	ck.accelStats.Parks += st.Parks
+	ck.accelStats.Boosts += st.Boosts
+	ck.accelStats.MaxWait = max(ck.accelStats.MaxWait, st.MaxWait)
 }
 
 // AccelStats returns the arbitration counters gathered by Finish.

@@ -90,6 +90,27 @@ func TestRunClusterLossless(t *testing.T) {
 	}
 }
 
+// TestRunClusterCountsInjectedFailures: cluster churn admits its tasks
+// with the same instrumented body as single-node churn, so injected
+// failures on every node round-trip through the summed error accounting.
+func TestRunClusterCountsInjectedFailures(t *testing.T) {
+	sc, err := Load([]byte(clusterYAML), "cluster.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Failures.TaskErrorRate = 0.5
+	rep, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) != 0 {
+		t.Fatalf("violations: %v", rep.Violations)
+	}
+	if rep.TaskErrors == 0 {
+		t.Fatal("a 50% error rate over cluster churn jobs injected nothing")
+	}
+}
+
 func TestRunClusterScenarioFile(t *testing.T) {
 	sc, err := LoadFile(filepath.Join("..", "..", "scenarios", "cluster.yaml"))
 	if err != nil {

@@ -4,7 +4,10 @@
 // shapes, timed reconfiguration churn with mode ping-pong, and failure
 // injection — and Run drives it through the spec/Reconfigure machinery on
 // the deterministic simulation backend at scale (tens of thousands of
-// tasks, millions of jobs), validating runtime invariants as it goes.
+// tasks, millions of jobs), validating runtime invariants as it goes. A
+// scenario with a nodes section runs the same way, one application per
+// node joined by internal/cluster; a single-node scenario is the one-node
+// case of that one runner.
 //
 // It is the evaluation harness the paper's Sections 4–5 use hand-written
 // task sets for, generalised: any workload the schema can express becomes

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"sort"
 	"time"
 
 	"github.com/yasmin-rt/yasmin/internal/telemetry"
@@ -114,7 +115,7 @@ func CheckStreams(sts []*telemetry.Stream, opts StreamCheckOpts) []string {
 			ck.violationLocked("node %d: %s", n, v)
 		}
 	}
-	sortInts2(order)
+	sort.Ints(order)
 
 	// Cluster-epoch agreement: identical histories everywhere.
 	if len(order) > 1 {
@@ -213,15 +214,6 @@ func epochList(recs []telemetry.ClusterEpochRecord) []uint64 {
 		out[i] = recs[i].Epoch
 	}
 	return out
-}
-
-// sortInts2 is an insertion sort over node ids (a handful of entries).
-func sortInts2(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // checkRetireStream replays drain-before-retire from the event stream.

@@ -69,8 +69,8 @@ type Report struct {
 	Topics []TopicAccount `json:"topics,omitempty"`
 
 	// Nodes is the per-node breakdown of a cluster run (nil single-node);
-	// top-level Jobs/Misses/Epochs then aggregate over the cluster, and
-	// Epochs is the common cluster epoch every node committed.
+	// the top-level counters then sum over the nodes, and Epochs is the
+	// common cluster epoch every node committed.
 	Nodes []NodeReport `json:"nodes,omitempty"`
 }
 
@@ -91,12 +91,13 @@ type RunOpts struct {
 	// *telemetry.Pipeline here to export the run as JSONL and re-verify it
 	// offline with CheckStream. Ignored in cluster mode (use NodeTelemetry).
 	Telemetry trace.Stream
-	// NodeTelemetry supplies one pipeline per cluster node (index = node
-	// id; construct each with telemetry.Options{Node: id} so its export
-	// carries the stamp). Every node's trace records, frame events and
-	// cluster-epoch marks flow through its own pipeline, and the per-node
-	// files reconcile offline with CheckStreams. nil disables; any other
-	// length must equal the node count.
+	// NodeTelemetry supplies one pipeline per node (index = node id, one
+	// for a single-node scenario; construct each with
+	// telemetry.Options{Node: id} so its export carries the stamp). Every
+	// node's trace records, frame events and cluster-epoch marks flow
+	// through its own pipeline, attached blocking, and the per-node files
+	// reconcile offline with CheckStreams. nil disables; any other length
+	// must equal the node count.
 	NodeTelemetry []*telemetry.Pipeline
 	// PerTopic adds per-topic accounting to the report (Report.Topics) —
 	// the differential runner diffs it between the Sim and OS backends.
@@ -129,85 +130,99 @@ type runBackend struct {
 // run still returns its report).
 func Run(sc *Scenario) (*Report, error) { return RunWith(sc, RunOpts{}) }
 
-// RunWith is Run with harness options.
+// RunWith is Run with harness options. The nodes of a cluster scenario are
+// co-simulated on one engine: one virtual timeline, each node with its own
+// scheduler core and worker set.
 func RunWith(sc *Scenario, opts RunOpts) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	if sc.Nodes != nil {
-		return runCluster(sc, opts)
-	}
 	eng := sim.NewEngine(sc.Seed)
-	env, err := rt.NewSimEnv(eng, platform.Generic(sc.Workers+1), nil)
+	env, err := rt.NewSimEnv(eng, platform.Generic(sc.nodeCount()*(sc.Workers+1)), nil)
 	if err != nil {
 		return nil, err
 	}
 	return runScenario(sc, opts, runBackend{env: env, drive: eng.RunUntilIdle, steps: eng.Steps})
 }
 
-// runScenario executes a validated single-node scenario on the given
-// backend. The spec/driver rng is seeded from the scenario seed alone and
-// only ever touched by spec generation and the single driver thread, so
-// driver decisions (admitted task shapes, retune picks) are identical
-// between the Sim and OS backends; task bodies draw from their own locked
-// stream (see lockedUnitRand).
+// RunOS executes the scenario on the wall-clock backend (rt.OSEnv) — the
+// second leg of the differential runner. The same spec generation, churn
+// driver and checker run unchanged; only the environment differs, so any
+// divergence in checker-visible behaviour is the middleware's, not the
+// harness's. Timing-derived counters (jobs, publishes) legitimately differ
+// from the simulation: the OS scheduler preempts whenever it pleases.
+// Compute defaults to sleeping (no CPU burn, no RT privileges needed);
+// opts.OS selects spinning and thread pinning for machines that allow it.
+//
+// Cluster scenarios are rejected: the cluster data plane is simulation-only.
+func RunOS(sc *Scenario, opts RunOpts) (*Report, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	if sc.Nodes != nil {
+		return nil, fmt.Errorf("scenario %s: cluster scenarios run on the simulation backend only", sc.Name)
+	}
+	env := rt.NewOSEnv()
+	env.Spin = opts.OS.Spin
+	env.PinThreads = opts.OS.Pin
+	return runScenario(sc, opts, runBackend{
+		env:   env,
+		drive: func() error { env.Wait(); return nil },
+		steps: func() uint64 { return 0 },
+	})
+}
+
+// runScenario executes a validated scenario on the given backend: one
+// application per node — a single-node scenario is the one-node case —
+// joined by the internal/cluster data plane when there are several.
+// Cross-node topics carry the same sequence-stamped values the checker
+// verifies on one node, so per-publisher FIFO is proven end to end across
+// the wire (under injected loss/reorder the lossy relaxation admits gaps
+// but still no inversions).
+//
+// The spec/driver rng is seeded from the scenario seed alone and only ever
+// touched by spec generation and the single driver thread, so driver
+// decisions (admitted task shapes, retune picks) are identical between the
+// Sim and OS backends; task bodies draw from their own locked stream (see
+// lockedUnitRand).
 func runScenario(sc *Scenario, opts RunOpts, bk runBackend) (*Report, error) {
+	if opts.NodeTelemetry != nil && len(opts.NodeTelemetry) != sc.nodeCount() {
+		return nil, fmt.Errorf("scenario %s: %d telemetry pipelines for %d nodes", sc.Name, len(opts.NodeTelemetry), sc.nodeCount())
+	}
 	rng := rand.New(rand.NewSource(sc.Seed))
 	ck := NewChecker()
 	ck.accelWaitBound = sc.AccelWaitBound.Std()
 	ck.SetContext(Context{Scenario: sc.Name, Seed: sc.Seed, Node: -1})
 
 	s, gen := sc.buildSpec(rng, ck)
-	maxTasks := sc.TaskCount() + sc.churnHeadroom()
-	pending := sc.MaxPendingJobs
-	if pending == 0 {
-		pending = maxTasks + 4*sc.Workers + 64
-	}
-	cfg := core.Config{
-		Workers:         sc.Workers,
-		Mapping:         core.MappingGlobal,
-		Priority:        core.PriorityEDF,
-		MaxTasks:        maxTasks,
-		MaxChannels:     len(s.Topics) + 1,
-		MaxPendingJobs:  pending,
-		SchedulerPeriod: sc.SchedulerPeriod.Std(),
-		// The checker replays the arbitration events.
-		RecordAccel: len(sc.Accels) > 0,
-		Telemetry:   opts.Telemetry,
-	}
-	switch sc.Mapping {
-	case "partitioned":
-		cfg.Mapping = core.MappingPartitioned
-	}
-	switch sc.Priority {
-	case "rm":
-		cfg.Priority = core.PriorityRM
-	case "dm":
-		cfg.Priority = core.PriorityDM
-	}
-
-	app, err := s.Build(cfg, bk.env)
+	apps, peakTasks, err := sc.buildApps(s, gen, opts, bk.env)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: build: %w", sc.Name, err)
+		return nil, err
 	}
-	// The instrumented bodies captured spec-layer positional CIDs; fail
-	// fast if the built App disagrees (a silent mismatch would turn every
-	// publish/take into misleading checker violations).
-	for name, cid := range gen.topicCIDs { //yasmin:orderinvariant fail-fast validation, any mismatch is fatal
-		if got := app.TopicID(name); got != cid {
-			return nil, fmt.Errorf("scenario %s: topic %s built as CID %d, bodies captured %d", sc.Name, name, got, cid)
+	var cl *cluster.Cluster
+	if sc.Nodes != nil {
+		if cl, err = sc.joinCluster(apps, gen, opts, bk.env); err != nil {
+			return nil, err
 		}
 	}
 
 	events := sc.expandChurn()
 	horizon := sc.Duration.Std()
-	driver := &churnDriver{sc: sc, app: app, ck: ck, rng: rng, gen: gen,
+	driver := &churnDriver{sc: sc, apps: apps, cl: cl, ck: ck, rng: rng, gen: gen,
 		frand: lockedUnitRand(sc.Seed)}
 	var harnessErr error
 	bk.env.Spawn("stress-driver", rt.UnpinnedCore, func(c rt.Ctx) {
-		if err := app.Start(c); err != nil {
-			harnessErr = fmt.Errorf("scenario %s: start: %w", sc.Name, err)
-			return
+		for i, app := range apps {
+			if err := app.Start(c); err != nil {
+				harnessErr = fmt.Errorf("scenario %s: node %d start: %w", sc.Name, i, err)
+				for _, started := range apps[:i] {
+					started.Stop(c)
+				}
+				if cl != nil {
+					_ = cl.Close() // the start failure is the error to report
+				}
+				return
+			}
 		}
 		for _, ev := range events {
 			if ev.at >= horizon {
@@ -217,8 +232,17 @@ func runScenario(sc *Scenario, opts RunOpts, bk runBackend) (*Report, error) {
 			driver.fire(c, ev)
 		}
 		c.SleepUntil(horizon)
-		app.Stop(c)
-		app.Cleanup(c)
+		for _, app := range apps {
+			app.Stop(c)
+		}
+		if cl != nil {
+			if err := cl.Close(); err != nil {
+				harnessErr = fmt.Errorf("scenario %s: cluster close: %w", sc.Name, err)
+			}
+		}
+		for _, app := range apps {
+			app.Cleanup(c)
+		}
 	})
 
 	wall0 := time.Now() //yasmin:wallclock host-side duration report, not simulation state
@@ -234,22 +258,34 @@ func runScenario(sc *Scenario, opts RunOpts, bk runBackend) (*Report, error) {
 		Scenario:      sc.Name,
 		Seed:          sc.Seed,
 		Tasks:         sc.TaskCount(),
-		PeakTasks:     maxTasks,
+		PeakTasks:     peakTasks,
 		Workers:       sc.Workers,
 		SimDurationNS: int64(horizon),
 		WallNS:        wall.Nanoseconds(),
 		EngineSteps:   bk.steps(),
-		Jobs:          app.Recorder().TotalJobs(),
-		Misses:        app.Recorder().TotalMisses(),
-		Overruns:      app.Overruns(),
-		Sched:         app.SchedStats(),
 		Published:     ck.Published(),
 		Delivered:     ck.Delivered(),
-		Epochs:        app.Epoch(),
-		Retires:       len(app.Recorder().Retires()),
+		Epochs:        driver.epoch(),
 		Rejections:    driver.rejections,
-		TaskErrors:    app.TaskErrors(),
-		Violations:    ck.Finish(app),
+		Violations:    ck.Finish(apps...),
+	}
+	for i, app := range apps {
+		jobs, misses := app.Recorder().TotalJobs(), app.Recorder().TotalMisses()
+		rep.Jobs += jobs
+		rep.Misses += misses
+		rep.Overruns += app.Overruns()
+		rep.TaskErrors += app.TaskErrors()
+		rep.Retires += len(app.Recorder().Retires())
+		rep.Sched.Add(app.SchedStats())
+		if cl != nil {
+			rep.Nodes = append(rep.Nodes, NodeReport{
+				Node:      i,
+				Tasks:     gen.nodeTasks[i],
+				Jobs:      jobs,
+				Misses:    misses,
+				NodeStats: cl.Node(i).Stats(),
+			})
+		}
 	}
 	if opts.PerTopic {
 		rep.Topics = ck.TopicTotals()
@@ -265,27 +301,202 @@ func runScenario(sc *Scenario, opts RunOpts, bk runBackend) (*Report, error) {
 	return rep, nil
 }
 
-// genState carries name lists the churn driver needs from spec generation.
+// buildApps builds one application per node from the generated spec — the
+// spec itself on a single node, its ForNode projections in a cluster —
+// each on its own scheduler core and worker cores, and returns them with
+// the number of task slots provisioned over all nodes.
+func (sc *Scenario) buildApps(s *spec.Spec, gen *genState, opts RunOpts, env rt.Env) ([]*core.App, int, error) {
+	nodes := sc.nodeCount()
+	if nodes > 1 {
+		// Build validates each projection; the whole spec is checked once
+		// here for what no projection sees (cross-node placements).
+		if err := s.Validate(); err != nil {
+			return nil, 0, fmt.Errorf("scenario %s: generated cluster spec invalid: %w", sc.Name, err)
+		}
+	}
+	headroom := sc.churnHeadroom()
+	apps := make([]*core.App, nodes)
+	peakTasks := 0
+	for i := range apps {
+		p := s
+		if nodes > 1 {
+			p = s.ForNode(i)
+		}
+		maxTasks := gen.nodeTasks[i] + headroom
+		peakTasks += maxTasks
+		pending := sc.MaxPendingJobs
+		if pending == 0 {
+			pending = maxTasks + 4*sc.Workers + 64
+		}
+		base := i * (sc.Workers + 1)
+		wcores := make([]int, sc.Workers)
+		for w := range wcores {
+			wcores[w] = base + 1 + w
+		}
+		cfg := core.Config{
+			Workers:         sc.Workers,
+			SchedulerCore:   base,
+			WorkerCores:     wcores,
+			Mapping:         core.MappingGlobal,
+			Priority:        core.PriorityEDF,
+			MaxTasks:        maxTasks,
+			MaxChannels:     len(p.Topics) + 1,
+			MaxPendingJobs:  pending,
+			SchedulerPeriod: sc.SchedulerPeriod.Std(),
+			// The checker replays the arbitration events.
+			RecordAccel: len(sc.Accels) > 0,
+		}
+		switch sc.Mapping {
+		case "partitioned":
+			cfg.Mapping = core.MappingPartitioned
+		}
+		switch sc.Priority {
+		case "rm":
+			cfg.Priority = core.PriorityRM
+		case "dm":
+			cfg.Priority = core.PriorityDM
+		}
+		switch {
+		case opts.NodeTelemetry != nil:
+			cfg.Telemetry = opts.NodeTelemetry[i].Blocking()
+		case sc.Nodes == nil:
+			cfg.Telemetry = opts.Telemetry
+		}
+		app, err := p.Build(cfg, env)
+		if err != nil {
+			return nil, 0, fmt.Errorf("scenario %s: node %d build: %w", sc.Name, i, err)
+		}
+		// The instrumented bodies captured the CIDs the spec layer's
+		// positional contract promises; fail fast if the built App disagrees
+		// (a silent mismatch would turn every publish/take into misleading
+		// checker violations).
+		for name, cid := range gen.nodeCIDs[i] { //yasmin:orderinvariant fail-fast validation, any mismatch is fatal
+			if got := app.TopicID(name); got != cid {
+				return nil, 0, fmt.Errorf("scenario %s: node %d: topic %s built as CID %d, bodies captured %d", sc.Name, i, name, got, cid)
+			}
+		}
+		apps[i] = app
+	}
+	return apps, peakTasks, nil
+}
+
+// joinCluster joins the nodes' applications over the deterministic
+// in-memory transport and starts the cluster: every cross-node topic
+// forwards from its publishers' nodes to every remote subscriber node, and
+// the subscribers' nodes provision ingress for it.
+func (sc *Scenario) joinCluster(apps []*core.App, gen *genState, opts RunOpts, env rt.Env) (*cluster.Cluster, error) {
+	ns := sc.Nodes
+	cl := cluster.New()
+	for i, app := range apps {
+		ncfg := cluster.NodeConfig{
+			App:          app,
+			Env:          env,
+			IngressCore:  i * (sc.Workers + 1), // middleware overhead rides the scheduler core
+			SyncInterval: ns.SyncInterval.Std(),
+		}
+		if i < len(ns.ClockSkew) {
+			ncfg.ClockSkew = ns.ClockSkew[i].Std()
+		}
+		if opts.NodeTelemetry != nil {
+			ncfg.Pipeline = opts.NodeTelemetry[i]
+		}
+		if _, err := cl.AddNode(ncfg); err != nil {
+			return nil, fmt.Errorf("scenario %s: node %d: %w", sc.Name, i, err)
+		}
+	}
+	for _, w := range gen.wires {
+		for n := range apps {
+			var dests []int
+			if w.pubNodes[n] {
+				for d, sub := range w.subNodes {
+					if sub && d != n {
+						dests = append(dests, d)
+					}
+				}
+			}
+			remote := false
+			if w.subNodes[n] {
+				for p, pub := range w.pubNodes {
+					remote = remote || (pub && p != n)
+				}
+			}
+			if len(dests) == 0 && !remote {
+				continue // no endpoint here, or a purely node-local topic
+			}
+			if err := cl.Node(n).Topic(w.name, dests, remote); err != nil {
+				return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+			}
+		}
+	}
+	cluster.NewMemTransport(cl, cluster.MemOpts{
+		Seed:        sc.Seed,
+		LossRate:    ns.LossRate,
+		ReorderRate: ns.ReorderRate,
+	})
+	if err := cl.Start(); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+	}
+	return cl, nil
+}
+
+// genState carries what the runner and the churn driver need from spec
+// generation.
 type genState struct {
 	groupTasks []string                 // plain compute task names
 	groupData  map[string]spec.TaskSpec // name -> declared timing (for retunes)
 	modes      []string                 // installed mode names, cycle order
-	topicCIDs  map[string]core.CID      // instrumented topic name -> captured CID
+	// nodeCIDs maps, per node, topic name -> the CID the topic gets in that
+	// node's App: its index among the topics present on the node (the spec
+	// layer's positional contract — the generated spec declares no
+	// channels, and a ForNode projection keeps topics in declaration
+	// order). buildApps re-verifies every entry against the built App.
+	nodeCIDs []map[string]core.CID
+	// nodeTasks counts statically declared tasks per node.
+	nodeTasks []int
+	// wires lists every generated topic with its endpoint nodes.
+	wires []topicWire
+}
+
+// topicWire is one topic's placement: which nodes host publishers and
+// which host subscribers (indexed by node).
+type topicWire struct {
+	name               string
+	pubNodes, subNodes []bool
+}
+
+// crossNode reports whether a publisher and a subscriber of the topic sit
+// on different nodes.
+func (w *topicWire) crossNode() bool {
+	for p, pub := range w.pubNodes {
+		for s, sub := range w.subNodes {
+			if pub && sub && p != s {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // buildSpec generates the declarative application (group tasks, topic
-// meshes with instrumented endpoints, mode presets) from the scenario.
+// meshes with instrumented endpoints, mode presets) from the scenario,
+// every task placed on its node (node 0 on a single node). Instrumented
+// endpoint bodies capture the node-local CID of their topic.
 func (sc *Scenario) buildSpec(rng *rand.Rand, ck *Checker) (*spec.Spec, *genState) {
-	s := &spec.Spec{Name: sc.Name}
+	nodes := sc.nodeCount()
+	s := &spec.Spec{Name: sc.Name, Nodes: nodes}
 	gen := &genState{
 		groupData: make(map[string]spec.TaskSpec),
-		topicCIDs: make(map[string]core.CID),
+		nodeCIDs:  make([]map[string]core.CID, nodes),
+		nodeTasks: make([]int, nodes),
+	}
+	for i := range gen.nodeCIDs {
+		gen.nodeCIDs[i] = make(map[string]core.CID)
 	}
 
-	core0 := 0
-	nextCore := func() int {
-		c := core0 % sc.Workers
-		core0++
+	cores := make([]int, nodes)
+	nextCore := func(node int) int {
+		c := cores[node] % sc.Workers
+		cores[node]++
 		return c
 	}
 
@@ -326,7 +537,8 @@ func (sc *Scenario) buildSpec(rng *rand.Rand, ck *Checker) (*spec.Spec, *genStat
 			t := spec.TaskSpec{
 				Name:     fmt.Sprintf("%s-%d", g.Name, i),
 				Period:   spec.Duration(period),
-				Core:     nextCore(),
+				Core:     nextCore(g.Node),
+				Node:     g.Node,
 				Versions: []spec.VersionSpec{v},
 			}
 			if g.DeadlineRatio > 0 {
@@ -341,53 +553,67 @@ func (sc *Scenario) buildSpec(rng *rand.Rand, ck *Checker) (*spec.Spec, *genStat
 		}
 	}
 
+	lossy := sc.Nodes.lossy()
 	for si := range sc.Topics {
 		sh := &sc.Topics[si]
 		pol, _ := core.ParsePolicy(sh.Policy)
 		for k := 0; k < sh.Count; k++ {
 			topicName := fmt.Sprintf("%s-%d", sh.Name, k)
 			ti := ck.addTopic(topicName, pol, sh.Capacity, sh.Pubs, sh.Subs)
+			w := topicWire{name: topicName, pubNodes: make([]bool, nodes), subNodes: make([]bool, nodes)}
+			for p := 0; p < sh.Pubs; p++ {
+				w.pubNodes[sh.pubNode(p)] = true
+			}
+			for sub := 0; sub < sh.Subs; sub++ {
+				w.subNodes[sh.subNode(sub)] = true
+			}
+			if lossy && w.crossNode() {
+				// Frames of this topic ride the faulty wire: gaps are legal,
+				// inversions still are not.
+				ck.setLossy(ti)
+			}
+			for n := range nodes {
+				if w.pubNodes[n] || w.subNodes[n] {
+					gen.nodeCIDs[n][topicName] = core.CID(len(gen.nodeCIDs[n]))
+				}
+			}
 			ts := spec.TopicSpec{
 				Name:     topicName,
 				Capacity: sh.Capacity,
 				Policy:   sh.Policy,
 			}
-			// Reserve the spec slot first so the CID the instrumented
-			// bodies capture comes from the spec layer's documented
-			// positional contract (TopicID); the endpoint lists are filled
-			// in below and Run re-verifies every CID against the built App
-			// before starting.
-			s.Topics = append(s.Topics, ts)
-			tsIdx := len(s.Topics) - 1
-			cid := s.TopicID(topicName)
-			gen.topicCIDs[topicName] = cid
 			for p := 0; p < sh.Pubs; p++ {
+				node := sh.pubNode(p)
 				name := fmt.Sprintf("%s-pub%d", topicName, p)
 				ts.Pubs = append(ts.Pubs, name)
 				s.Tasks = append(s.Tasks, spec.TaskSpec{
 					Name:   name,
 					Period: sh.PublishPeriod,
 					Offset: spec.Duration(rng.Int63n(int64(sh.PublishPeriod.Std()))),
-					Core:   nextCore(),
+					Core:   nextCore(node),
+					Node:   node,
 					Versions: []spec.VersionSpec{{
-						Fn: pubBody(ck, ti, p, cid),
+						Fn: pubBody(ck, ti, p, gen.nodeCIDs[node][topicName]),
 					}},
 				})
 			}
 			for sub := 0; sub < sh.Subs; sub++ {
+				node := sh.subNode(sub)
 				name := fmt.Sprintf("%s-sub%d", topicName, sub)
 				ts.Subs = append(ts.Subs, name)
 				s.Tasks = append(s.Tasks, spec.TaskSpec{
 					Name:   name,
 					Period: sh.ConsumePeriod,
 					Offset: spec.Duration(rng.Int63n(int64(sh.ConsumePeriod.Std()))),
-					Core:   nextCore(),
+					Core:   nextCore(node),
+					Node:   node,
 					Versions: []spec.VersionSpec{{
-						Fn: subBody(ck, ti, sub, cid),
+						Fn: subBody(ck, ti, sub, gen.nodeCIDs[node][topicName]),
 					}},
 				})
 			}
-			s.Topics[tsIdx] = ts
+			s.Topics = append(s.Topics, ts)
+			gen.wires = append(gen.wires, w)
 		}
 	}
 
@@ -417,6 +643,10 @@ func (sc *Scenario) buildSpec(rng *rand.Rand, ck *Checker) (*spec.Spec, *genStat
 			{Name: "reduced", Mode: 1, Tasks: reduced},
 		}
 		gen.modes = []string{"reduced", "full"}
+	}
+
+	for i := range s.Tasks {
+		gen.nodeTasks[s.Tasks[i].Node]++
 	}
 	return s, gen
 }
@@ -530,13 +760,15 @@ func (sc *Scenario) expandChurn() []churnEvent {
 }
 
 // churnDriver executes churn transactions and records their admission
-// outcomes for the checker.
+// outcomes for the checker. With a cluster (cl non-nil) a transaction is
+// two-phase: every node commits at a common cluster epoch, or none does.
 type churnDriver struct {
-	sc  *Scenario
-	app *core.App
-	ck  *Checker
-	rng *rand.Rand
-	gen *genState
+	sc   *Scenario
+	apps []*core.App
+	cl   *cluster.Cluster
+	ck   *Checker
+	rng  *rand.Rand
+	gen  *genState
 	// frand is the locked body-side rand (failure-injection draws).
 	frand func() float64
 
@@ -548,6 +780,15 @@ type churnDriver struct {
 	retuneUp   map[string]bool
 }
 
+// epoch is the epoch the driver's transactions advance: the cluster epoch
+// in a cluster, the application's on a single node.
+func (d *churnDriver) epoch() int {
+	if d.cl != nil {
+		return int(d.cl.Epoch())
+	}
+	return d.apps[0].Epoch()
+}
+
 func (d *churnDriver) fire(c rt.Ctx, ev churnEvent) {
 	cp := &d.sc.Churn[ev.phase]
 	if d.alive == nil {
@@ -555,9 +796,10 @@ func (d *churnDriver) fire(c rt.Ctx, ev churnEvent) {
 		d.generation = make(map[int]int)
 		d.retuneUp = make(map[string]bool)
 	}
-	before := d.app.Epoch()
+	app := d.apps[0] // Validate admits only the "cluster" action with several nodes
+	before := d.epoch()
 	var err error
-	var action string
+	action := cp.Action
 	switch cp.Action {
 	case "mode":
 		if len(d.gen.modes) == 0 {
@@ -566,9 +808,8 @@ func (d *churnDriver) fire(c rt.Ctx, ev churnEvent) {
 		name := d.gen.modes[d.modeIdx%len(d.gen.modes)]
 		d.modeIdx++
 		action = "mode:" + name
-		err = d.app.SwitchMode(c, name)
-	case "add":
-		action = "add"
+		err = app.SwitchMode(c, name)
+	case "add", "cluster":
 		err = d.admitTasks(c, ev, cp, nil)
 	case "ping_pong":
 		if len(d.alive[ev.phase]) == 0 {
@@ -577,7 +818,7 @@ func (d *churnDriver) fire(c rt.Ctx, ev churnEvent) {
 		} else {
 			action = "ping_pong:retire"
 			names := d.alive[ev.phase]
-			err = d.app.Reconfigure(c, func(tx *core.Reconfig) error {
+			err = app.Reconfigure(c, func(tx *core.Reconfig) error {
 				for _, n := range names {
 					if rerr := tx.RemoveTaskByName(n); rerr != nil {
 						return rerr
@@ -590,7 +831,6 @@ func (d *churnDriver) fire(c rt.Ctx, ev churnEvent) {
 			}
 		}
 	case "retune":
-		action = "retune"
 		if len(d.gen.groupTasks) == 0 {
 			// Topics-only scenario: nothing to retune. Skip the attempt
 			// record entirely — recording a "commit" that moved no epoch
@@ -611,13 +851,14 @@ func (d *churnDriver) fire(c rt.Ctx, ev churnEvent) {
 		action:      action,
 		err:         err,
 		epochBefore: before,
-		epochAfter:  d.app.Epoch(),
+		epochAfter:  d.epoch(),
 	})
 }
 
-// admitTasks stages cp.Count fresh tasks in one transaction. Names are
-// unique per incarnation (phase, generation, index) so retirements are
-// uniquely attributable. pingPhase non-nil tracks them for later removal.
+// admitTasks stages cp.Count fresh tasks in one transaction — on every
+// node of a cluster. Names are unique per incarnation (phase, generation,
+// node, index) so retirements are uniquely attributable. pingPhase non-nil
+// tracks them for later removal.
 func (d *churnDriver) admitTasks(c rt.Ctx, ev churnEvent, cp *ChurnPhase, pingPhase *int) error {
 	g := d.generation[ev.phase]
 	d.generation[ev.phase] = g + 1
@@ -631,7 +872,7 @@ func (d *churnDriver) admitTasks(c rt.Ctx, ev churnEvent, cp *ChurnPhase, pingPh
 	}
 	accel := core.NoAccel
 	if cp.Accel != "" {
-		if accel = d.app.AccelIDByName(cp.Accel); accel == core.NoAccel {
+		if accel = d.apps[0].AccelIDByName(cp.Accel); accel == core.NoAccel {
 			return fmt.Errorf("scenario: churn references unknown accelerator %q", cp.Accel)
 		}
 	}
@@ -640,10 +881,12 @@ func (d *churnDriver) admitTasks(c rt.Ctx, ev churnEvent, cp *ChurnPhase, pingPh
 		share = 0.5
 	}
 	var names []string
-	err := d.app.Reconfigure(c, func(tx *core.Reconfig) error {
-		names = names[:0]
+	stage := func(tx *core.Reconfig, node int) error {
 		for i := 0; i < cp.Count; i++ {
 			name := fmt.Sprintf("churn%d-g%d-%d", ev.phase, g, i)
+			if d.cl != nil {
+				name = fmt.Sprintf("churn%d-g%d-n%d-%d", ev.phase, g, node, i)
+			}
 			period := dist.sample(d.rng)
 			wcet := time.Duration(util * float64(period))
 			if wcet < time.Microsecond {
@@ -669,7 +912,20 @@ func (d *churnDriver) admitTasks(c rt.Ctx, ev churnEvent, cp *ChurnPhase, pingPh
 			names = append(names, name)
 		}
 		return nil
-	})
+	}
+	var err error
+	if d.cl == nil {
+		err = d.apps[0].Reconfigure(c, func(tx *core.Reconfig) error {
+			names = names[:0]
+			return stage(tx, 0)
+		})
+	} else {
+		txs := make([]cluster.NodeTx, len(d.apps))
+		for n := range txs {
+			txs[n] = cluster.NodeTx{Node: n, Fn: func(tx *core.Reconfig) error { return stage(tx, n) }}
+		}
+		err = d.cl.Reconfigure(c, txs)
+	}
 	if err == nil && pingPhase != nil {
 		d.alive[*pingPhase] = append([]string(nil), names...)
 	}
@@ -724,7 +980,7 @@ func (d *churnDriver) retuneTasks(c rt.Ctx, cp *ChurnPhase) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	err := d.app.Reconfigure(c, func(tx *core.Reconfig) error {
+	err := d.apps[0].Reconfigure(c, func(tx *core.Reconfig) error {
 		for _, name := range names {
 			ts, ok := d.gen.groupData[name]
 			if !ok {

@@ -129,18 +129,9 @@ func TestFailureInjectionZeroRate(t *testing.T) {
 // errors) with one noteInjected recorded — the exact discrepancy a dropped
 // error-return path in the middleware would produce.
 func TestFailureInjectionMismatchFlagged(t *testing.T) {
-	eng := sim.NewEngine(1)
-	env, err := rt.NewSimEnv(eng, platform.Generic(2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := core.New(core.Config{Workers: 1, MaxTasks: 4, MaxChannels: 1, MaxPendingJobs: 8}, env)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ck := NewChecker()
 	ck.noteInjected()
-	violations := ck.Finish(app)
+	violations := ck.Finish(idleApps(t, 1)...)
 	found := false
 	for _, v := range violations {
 		if strings.Contains(v, "middleware counted 0, checker injected 1") {
@@ -150,4 +141,43 @@ func TestFailureInjectionMismatchFlagged(t *testing.T) {
 	if !found {
 		t.Fatalf("seeded injection-count mismatch not flagged; got: %v", violations)
 	}
+}
+
+// TestFinishAuditsEveryNode proves the verdict runs per node: a committed
+// cluster transaction that the nodes' recorders never saw is flagged once
+// per node, each violation naming its node.
+func TestFinishAuditsEveryNode(t *testing.T) {
+	ck := NewChecker()
+	ck.SetContext(Context{Scenario: "nodes", Node: -1})
+	ck.noteAttempt(admissionAttempt{action: "cluster", epochBefore: 0, epochAfter: 1})
+	violations := ck.Finish(idleApps(t, 2)...)
+	for _, node := range []string{"node=0]", "node=1]"} {
+		found := false
+		for _, v := range violations {
+			if strings.Contains(v, "driver committed 1 transactions, recorder has 0 epochs") && strings.HasSuffix(v, node) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("missing commit on %s not flagged; got: %v", node, violations)
+		}
+	}
+}
+
+// idleApps builds n never-started applications on one simulation engine.
+func idleApps(t *testing.T, n int) []*core.App {
+	t.Helper()
+	env, err := rt.NewSimEnv(sim.NewEngine(1), platform.Generic(2*n), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := make([]*core.App, n)
+	for i := range apps {
+		cfg := core.Config{Workers: 1, SchedulerCore: 2 * i, WorkerCores: []int{2*i + 1},
+			MaxTasks: 4, MaxChannels: 1, MaxPendingJobs: 8}
+		if apps[i], err = core.New(cfg, env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return apps
 }

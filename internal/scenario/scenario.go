@@ -107,6 +107,15 @@ func (ns *NodesSpec) lossy() bool {
 	return ns != nil && (ns.LossRate > 0 || ns.ReorderRate > 0)
 }
 
+// nodeCount is the number of applications the scenario runs: Nodes.Count,
+// or 1 without a nodes section.
+func (sc *Scenario) nodeCount() int {
+	if sc.Nodes == nil {
+		return 1
+	}
+	return sc.Nodes.Count
+}
+
 // Dist describes a duration distribution: either explicit Choices or a
 // log-uniform range [Min, Max].
 type Dist struct {
@@ -291,6 +300,17 @@ func (tp *TopicShape) validate(i int) error {
 		return fmt.Errorf("scenario: topic %q: publish_period and consume_period must be positive", tp.Name)
 	}
 	return nil
+}
+
+// pubNode and subNode place publisher p and subscriber s (see PubNodes).
+func (tp *TopicShape) pubNode(p int) int { return placeOn(tp.PubNodes, p) }
+func (tp *TopicShape) subNode(s int) int { return placeOn(tp.SubNodes, s) }
+
+func placeOn(nodes []int, i int) int {
+	if len(nodes) == 0 {
+		return 0
+	}
+	return nodes[i%len(nodes)]
 }
 
 // ChurnPhase schedules reconfiguration transactions.
@@ -565,14 +585,15 @@ func (sc *Scenario) TaskCount() int {
 	return n
 }
 
-// churnHeadroom returns extra task slots churn phases may occupy at once:
-// live adds plus up-to-one draining generation of ping-pong tasks.
+// churnHeadroom returns extra task slots churn phases may occupy at once
+// on each node: live adds (a "cluster" firing adds on every node) plus
+// up-to-one draining generation of ping-pong tasks.
 func (sc *Scenario) churnHeadroom() int {
 	n := 0
 	for i := range sc.Churn {
 		cp := &sc.Churn[i]
 		switch cp.Action {
-		case "add":
+		case "add", "cluster":
 			reps := 1
 			if cp.Every > 0 {
 				reps = int(sc.Duration.Std()/cp.Every.Std()) + 1
