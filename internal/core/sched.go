@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/yasmin-rt/yasmin/internal/platform"
@@ -130,7 +131,7 @@ func (a *App) Start(c rt.Ctx) error {
 			f := &fiber{idx: i, app: a}
 			a.fibers[i] = f
 			a.liveThreads.Add(1)
-			f.th = a.env.Spawn(fmt.Sprintf("yas-fiber-%d", i), rt.UnpinnedCore, f.loop)
+			f.th = a.env.Spawn("yas-fiber-"+strconv.Itoa(i), rt.UnpinnedCore, f.loop)
 			a.pushFreeFib(f)
 		}
 	} else {

@@ -61,9 +61,7 @@ func (e *SimEnv) Platform() *platform.Platform { return e.plat }
 // Spawn creates a simulated thread.
 func (e *SimEnv) Spawn(name string, core int, fn func(Ctx)) Thread {
 	t := &simThread{env: e, core: core}
-	t.proc = e.eng.Spawn(name, func(p *sim.Proc) {
-		fn(&simCtx{env: e, th: t})
-	})
+	t.proc = e.eng.Spawn(name, func(*sim.Proc) { fn(t) })
 	return t
 }
 
@@ -83,10 +81,18 @@ func (e *SimEnv) NewLock(kind LockKind) Lock {
 	}
 }
 
+// simThread is both the Thread handle and the Ctx its body runs with: the
+// two interfaces share no method name, and one struct saves an allocation
+// and a back-pointer per thread.
 type simThread struct {
 	env  *SimEnv
 	proc *sim.Proc
 	core int
+	// pending is bookkeeping cost recorded by ChargeLazy but not yet
+	// consumed; it is folded into the next timed primitive or flushed as a
+	// Charge before the thread blocks, so virtual time never runs ahead of
+	// the work already accounted to this thread.
+	pending time.Duration
 }
 
 func (t *simThread) Name() string { return t.proc.Name() }
@@ -111,64 +117,54 @@ func (t *simThread) speed() float64 {
 	return s
 }
 
-type simCtx struct {
-	env *SimEnv
-	th  *simThread
-	// pending is bookkeeping cost recorded by ChargeLazy but not yet
-	// consumed; it is folded into the next timed primitive or flushed as a
-	// Charge before the thread blocks, so virtual time never runs ahead of
-	// the work already accounted to this thread.
-	pending time.Duration
+func (t *simThread) Env() Env           { return t.env }
+func (t *simThread) Self() Thread       { return t }
+func (t *simThread) Now() time.Duration { return t.env.Now() }
+
+func (t *simThread) Sleep(d time.Duration) bool {
+	return t.SleepUntil(t.Now() + d)
 }
 
-func (c *simCtx) Env() Env           { return c.env }
-func (c *simCtx) Self() Thread       { return c.th }
-func (c *simCtx) Now() time.Duration { return c.env.Now() }
-
-func (c *simCtx) Sleep(d time.Duration) bool {
-	return c.SleepUntil(c.Now() + d)
-}
-
-func (c *simCtx) SleepUntil(t time.Duration) bool {
-	c.flushLazy()
-	intr, _ := c.th.proc.SleepUntil(sim.Time(t))
+func (t *simThread) SleepUntil(at time.Duration) bool {
+	t.flushLazy()
+	intr, _ := t.proc.SleepUntil(sim.Time(at))
 	if !intr {
-		c.chargeWake(WakeTimer)
+		t.chargeWake(WakeTimer)
 	}
 	return intr
 }
 
-func (c *simCtx) Park() bool {
-	c.flushLazy()
-	return c.th.proc.Park()
+func (t *simThread) Park() bool {
+	t.flushLazy()
+	return t.proc.Park()
 }
 
-func (c *simCtx) ParkIdle() bool {
-	c.flushLazy()
-	intr := c.th.proc.Park()
+func (t *simThread) ParkIdle() bool {
+	t.flushLazy()
+	intr := t.proc.Park()
 	if !intr {
-		c.chargeWake(WakeUnpark)
+		t.chargeWake(WakeUnpark)
 	}
 	return intr
 }
 
-func (c *simCtx) Yield() {
-	c.flushLazy()
-	c.th.proc.Yield()
+func (t *simThread) Yield() {
+	t.flushLazy()
+	t.proc.Yield()
 }
 
-func (c *simCtx) Compute(d time.Duration) (time.Duration, bool) {
-	if d <= 0 && c.pending <= 0 {
+func (t *simThread) Compute(d time.Duration) (time.Duration, bool) {
+	if d <= 0 && t.pending <= 0 {
 		return 0, false
 	}
 	// Pending bookkeeping is consumed ahead of the nominal work inside one
 	// engine event; on an early interrupt the remainder is clamped to the
 	// nominal amount (the bookkeeping counts as absorbed).
-	pend := c.pending
-	c.pending = 0
-	speed := c.th.speed()
+	pend := t.pending
+	t.pending = 0
+	speed := t.speed()
 	scaled := time.Duration(float64(pend+d) / speed)
-	intr, remScaled := c.th.proc.Compute(scaled)
+	intr, remScaled := t.proc.Compute(scaled)
 	if !intr {
 		return 0, false
 	}
@@ -179,38 +175,38 @@ func (c *simCtx) Compute(d time.Duration) (time.Duration, bool) {
 	return remNominal, true
 }
 
-func (c *simCtx) Charge(d time.Duration) {
-	d += c.pending
-	c.pending = 0
+func (t *simThread) Charge(d time.Duration) {
+	d += t.pending
+	t.pending = 0
 	if d <= 0 {
 		return
 	}
-	c.th.proc.Charge(time.Duration(float64(d) / c.th.speed()))
+	t.proc.Charge(time.Duration(float64(d) / t.speed()))
 }
 
-func (c *simCtx) ChargeLazy(d time.Duration) {
+func (t *simThread) ChargeLazy(d time.Duration) {
 	if d > 0 {
-		c.pending += d
+		t.pending += d
 	}
 }
 
 // flushLazy converts accumulated lazy cost into a real charge before the
 // thread blocks.
-func (c *simCtx) flushLazy() {
-	if c.pending > 0 {
-		d := c.pending
-		c.pending = 0
-		c.th.proc.Charge(time.Duration(float64(d) / c.th.speed()))
+func (t *simThread) flushLazy() {
+	if t.pending > 0 {
+		d := t.pending
+		t.pending = 0
+		t.proc.Charge(time.Duration(float64(d) / t.speed()))
 	}
 }
 
 // chargeWake applies the kernel model's wakeup latency after a normal wake.
-func (c *simCtx) chargeWake(reason WakeReason) {
-	if c.env.wake == nil {
+func (t *simThread) chargeWake(reason WakeReason) {
+	if t.env.wake == nil {
 		return
 	}
-	if lat := c.env.wake(reason, c.th.core); lat > 0 {
-		c.th.proc.Charge(lat)
+	if lat := t.env.wake(reason, t.core); lat > 0 {
+		t.proc.Charge(lat)
 	}
 }
 
@@ -223,18 +219,17 @@ type simOSLock struct {
 }
 
 func (l *simOSLock) Lock(c Ctx) {
-	sc := c.(*simCtx)
-	if l.mu.TryLock(sc.th.proc) {
-		sc.Charge(l.env.costs.LockUncontended)
+	t := c.(*simThread)
+	if l.mu.TryLock(t.proc) {
+		t.Charge(l.env.costs.LockUncontended)
 		return
 	}
-	sc.Charge(l.env.costs.FutexWait)
-	l.mu.Lock(sc.th.proc)
+	t.Charge(l.env.costs.FutexWait)
+	l.mu.Lock(t.proc)
 }
 
 func (l *simOSLock) Unlock(c Ctx) {
-	sc := c.(*simCtx)
-	l.mu.Unlock(sc.th.proc)
+	l.mu.Unlock(c.(*simThread).proc)
 }
 
 // simSpinLock models a test-and-set spinlock with CPU burn under contention.
@@ -244,11 +239,9 @@ type simSpinLock struct {
 }
 
 func (l *simSpinLock) Lock(c Ctx) {
-	sc := c.(*simCtx)
-	l.mu.Lock(sc.th.proc)
+	l.mu.Lock(c.(*simThread).proc)
 }
 
 func (l *simSpinLock) Unlock(c Ctx) {
-	sc := c.(*simCtx)
-	l.mu.Unlock(sc.th.proc)
+	l.mu.Unlock(c.(*simThread).proc)
 }

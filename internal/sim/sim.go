@@ -2,10 +2,16 @@
 //
 // The engine executes simulated processes in lock-step: exactly one process
 // runs at any instant, and virtual time only advances when every process is
-// blocked in a simulation primitive (Sleep, Park, Compute, ...). Processes
-// are backed by goroutines, but the engine serialises them completely, so
-// code running inside processes needs no synchronisation and every run with
-// the same seed is bit-for-bit reproducible.
+// blocked in a simulation primitive (Sleep, Park, Compute, ...). Each
+// process runs on a coroutine (iter.Pull): the engine resumes it with the
+// coroutine's next and the process blocks by calling its yield, so a handoff
+// is a direct runtime.coroswitch with no trip through the Go scheduler and no
+// channel. Exactly one of the engine loop and its processes runs at a time,
+// so code running inside processes needs no synchronisation and every run
+// with the same seed is bit-for-bit reproducible.
+//
+// A process body that calls runtime.Goexit (as t.Fatal does) ends the
+// goroutine that called Run: iter.Pull propagates the Goexit out of next.
 //
 // The engine is the substrate for all virtual-time experiments in this
 // repository: the YASMIN middleware, the Mollison & Anderson baseline, the
@@ -19,6 +25,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime/debug"
 	"time"
@@ -44,7 +51,7 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Infinity is a time later than any reachable simulation instant.
 const Infinity Time = 1<<63 - 1
 
-type resumeKind int
+type resumeKind uint8
 
 const (
 	resumeNormal resumeKind = iota + 1
@@ -58,9 +65,9 @@ type event struct {
 	at    Time
 	seq   uint64 // tie-break: FIFO among same-instant events
 	proc  *Proc
-	kind  resumeKind
 	fn    func()
-	index int  // heap index, -1 when popped
+	index int // heap index, -1 when popped
+	kind  resumeKind
 	dead  bool // cancelled
 }
 
@@ -100,10 +107,8 @@ type Engine struct {
 	events  eventHeap
 	seq     uint64
 	rng     *rand.Rand
-	procs   []*Proc
+	nprocs  int // processes ever spawned; the next Proc.id
 	live    int
-	current *Proc
-	yield   chan struct{} // process -> engine: "I am blocked again"
 	failure error
 	nsteps  uint64
 	maxStep uint64
@@ -132,7 +137,6 @@ type Engine struct {
 func NewEngine(seed int64) *Engine {
 	return &Engine{
 		rng:     rand.New(rand.NewSource(seed)),
-		yield:   make(chan struct{}),
 		maxStep: 1 << 40,
 	}
 }
@@ -210,7 +214,7 @@ func (e *Engine) At(t Time, fn func()) { e.schedule(t, nil, resumeNormal, fn) }
 func (e *Engine) After(d time.Duration, fn func()) { e.At(e.now.Add(d), fn) }
 
 // ProcState describes what a process is currently doing.
-type ProcState int
+type ProcState uint8
 
 // Process states.
 const (
@@ -239,28 +243,33 @@ func (s ProcState) String() string {
 }
 
 // Proc is a simulated process. Blocking methods (Sleep, Park, Compute, Yield)
-// must be called from the process's own goroutine, i.e. from inside the
+// must be called from the process's own coroutine, i.e. from inside the
 // function passed to Spawn. Name, State, Done, Unpark and Interrupt may be
 // called from any simulation context (another process or an engine callback);
 // nothing in this package may be called from goroutines outside the engine.
+//
+// The fields are packed so that a Proc fits the 64-byte size class (see
+// TestProcFitsSizeClass).
 type Proc struct {
 	eng        *Engine
 	name       string
-	resume     chan resumeKind
+	wake       *event                  // the sole event allowed to resume this process
+	next       func() (struct{}, bool) // engine -> process: resume the coroutine
+	yield      func(struct{}) bool     // process -> engine: "I am blocked again"
+	id         int32                   // creation index within the engine
+	interrupts int32                   // pending interrupt count
 	state      ProcState
-	wake       *event // the sole event allowed to resume this process
-	interrupts int    // pending interrupt count
+	kind       resumeKind // how the engine resumed the process, read by block
 	intrMasked bool
 	unparked   bool // sticky unpark token
 	done       bool
-	id         int
 }
 
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
 // ID returns the process's creation index within its engine.
-func (p *Proc) ID() int { return p.id }
+func (p *Proc) ID() int { return int(p.id) }
 
 // State returns the current process state. Only meaningful between engine
 // steps (e.g. from engine callbacks or other processes).
@@ -291,34 +300,31 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt creates a process that begins execution at instant t.
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan resumeKind),
-		state:  StateNew,
-		id:     len(e.procs),
+		eng:   e,
+		name:  name,
+		state: StateNew,
+		id:    int32(e.nprocs),
 	}
-	e.procs = append(e.procs, p)
+	e.nprocs++
 	e.live++
-	go func() {
+	// The coroutine is created here rather than on the first step so that
+	// its allocations are paid at spawn time. The closure captures only p
+	// and fn to keep its own allocation small.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				if e.failure == nil {
-					e.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
-				}
-				p.state = StateDone
-				p.done = true
-				e.live--
-				e.yield <- struct{}{}
+			// Runs on return, panic and Goexit alike. A recovered panic
+			// ends the coroutine normally, so next returns to step.
+			if r := recover(); r != nil && p.eng.failure == nil {
+				p.eng.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 			}
+			p.state = StateDone
+			p.done = true
+			p.eng.live--
 		}()
-		<-p.resume
 		p.state = StateRunning
 		fn(p)
-		p.state = StateDone
-		p.done = true
-		e.live--
-		e.yield <- struct{}{}
-	}()
+	})
 	p.wake = e.schedule(t, p, resumeNormal, nil)
 	return p
 }
@@ -358,12 +364,9 @@ func (e *Engine) step() (bool, error) {
 		return true, nil
 	}
 	p.wake = nil
-	kind := ev.kind
+	p.kind = ev.kind
 	e.recycle(ev)
-	e.current = p
-	p.resume <- kind
-	<-e.yield
-	e.current = nil
+	p.next()
 	return true, e.failure
 }
 
@@ -417,11 +420,13 @@ func (e *Engine) RunUntilIdle() error {
 // process context.
 func (e *Engine) Stop() { e.stopped = true }
 
-// block parks the calling process goroutine and hands control back to the
-// engine loop; it returns the resume kind delivered by the engine.
+// block suspends the calling process's coroutine and hands control back to
+// the engine loop; it returns the resume kind delivered by the engine.
 func (p *Proc) block() resumeKind {
-	p.eng.yield <- struct{}{}
-	return <-p.resume
+	// yield reports false only once the coroutine's stop has been called,
+	// and the engine never calls it.
+	p.yield(struct{}{})
+	return p.kind
 }
 
 // Now returns the current virtual time.

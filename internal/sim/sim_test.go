@@ -1,9 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"runtime/metrics"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestSleepAdvancesTime(t *testing.T) {
@@ -275,13 +280,95 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestProcPanicPropagates(t *testing.T) {
 	e := NewEngine(1)
-	e.Spawn("bomber", func(p *Proc) {
+	bomber := e.Spawn("bomber", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		panic("boom")
 	})
-	err := e.RunUntilIdle()
-	if err == nil {
-		t.Fatal("expected panic to surface as error")
+	err := e.Run(Infinity)
+	if err == nil || !strings.Contains(err.Error(), `process "bomber" panicked`) {
+		t.Fatalf("Run = %v, want the panic surfaced as an error", err)
+	}
+	if !bomber.Done() {
+		t.Fatal("panicked process does not report Done")
+	}
+	// The panicked process is no longer live, so it cannot be reported as
+	// stuck: RunUntilIdle repeats the failure instead of a deadlock.
+	if err := e.RunUntilIdle(); errors.Is(err, ErrDeadlock) {
+		t.Fatalf("RunUntilIdle = %v, want no deadlock", err)
+	}
+}
+
+// TestGoexitInProcessEndsRunGoroutine pins what runtime.Goexit (t.Fatal)
+// inside a process body does: the coroutine propagates it to the goroutine
+// that called Run, which ends instead of hanging.
+func TestGoexitInProcessEndsRunGoroutine(t *testing.T) {
+	ended := make(chan bool)
+	go func() {
+		returned := false
+		defer func() { ended <- returned }()
+		e := NewEngine(1)
+		e.Spawn("quitter", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			runtime.Goexit()
+		})
+		_ = e.RunUntilIdle()
+		returned = true
+	}()
+	select {
+	case returned := <-ended:
+		if returned {
+			t.Fatal("Run returned; want the Goexit to end its goroutine")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the goroutine running the engine did not end")
+	}
+}
+
+// TestFinishedProcsAreNotRetained spawns and finishes many processes on one
+// engine and checks that the live heap stays flat: the engine must not pin
+// finished processes (or their coroutines) for its lifetime.
+func TestFinishedProcsAreNotRetained(t *testing.T) {
+	const n = 100_000
+	e := NewEngine(1)
+	spawned := 0
+	// One child at a time, so that at most two coroutines are alive.
+	e.Spawn("spawner", func(p *Proc) {
+		for ; spawned < n; spawned++ {
+			p.Spawn("child", func(c *Proc) { c.Yield() })
+			p.Sleep(time.Microsecond)
+		}
+	})
+	if err := e.Run(Time(1000 * time.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	before := liveHeapBytes()
+	if err := e.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	after := liveHeapBytes()
+	runtime.KeepAlive(e)
+	if spawned != n {
+		t.Fatalf("spawned %d processes, want %d", spawned, n)
+	}
+	if grew := after - before; grew > 1<<20 {
+		t.Fatalf("live heap grew by %d bytes over %d finished processes, want under 1 MB", grew, n)
+	}
+}
+
+func liveHeapBytes() int64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
+}
+
+// TestProcFitsSizeClass guards the heap budget: core spawns one process per
+// worker and per pending-job fiber, so a Proc that outgrows the 64-byte size
+// class moves every process into the 80-byte class and costs the sim_hot64
+// benchmark workload its heap_live_mb bound.
+func TestProcFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Proc{}); size > 64 {
+		t.Fatalf("sizeof(Proc) = %d, want <= 64", size)
 	}
 }
 
