@@ -64,38 +64,6 @@ func TestQueueCapacityBound(t *testing.T) {
 	}
 }
 
-func TestQueueRemoveArbitrary(t *testing.T) {
-	q := newReadyQueue(8)
-	jobs := make([]*job, 6)
-	for i := range jobs {
-		jobs[i] = mkJob(int64(i), int64(10-i))
-		if err := q.push(jobs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !q.remove(jobs[3]) {
-		t.Fatal("remove of queued job failed")
-	}
-	if q.remove(jobs[3]) {
-		t.Fatal("second remove of the same job succeeded")
-	}
-	if q.len() != 5 {
-		t.Fatalf("len = %d, want 5", q.len())
-	}
-	// Remaining jobs still pop in priority order.
-	last := int64(-1 << 62)
-	for q.len() > 0 {
-		j := q.pop()
-		if j == jobs[3] {
-			t.Fatal("removed job popped")
-		}
-		if j.effPrio.Load() < last {
-			t.Fatal("heap order violated after remove")
-		}
-		last = j.effPrio.Load()
-	}
-}
-
 func TestQueueFixAfterBoost(t *testing.T) {
 	q := newReadyQueue(8)
 	low := mkJob(1, 100)

@@ -1,11 +1,8 @@
 package lockfree
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 // exerciseLock hammers a counter behind lock/unlock closures and verifies
@@ -36,38 +33,6 @@ func TestTASLockMutualExclusion(t *testing.T) {
 	exerciseLock(t, 8, 2000, l.Lock, l.Unlock)
 }
 
-func TestTTASLockMutualExclusion(t *testing.T) {
-	var l TTASLock
-	exerciseLock(t, 8, 2000, l.Lock, l.Unlock)
-}
-
-func TestTicketLockMutualExclusion(t *testing.T) {
-	var l TicketLock
-	exerciseLock(t, 8, 2000, l.Lock, l.Unlock)
-}
-
-func TestMCSLockMutualExclusion(t *testing.T) {
-	var l MCSLock
-	var counter int
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var node MCSNode
-			for i := 0; i < 2000; i++ {
-				l.Lock(&node)
-				counter++
-				l.Unlock(&node)
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != 16000 {
-		t.Errorf("counter = %d, want 16000", counter)
-	}
-}
-
 func TestTryLocks(t *testing.T) {
 	var tas TASLock
 	if !tas.TryLock() {
@@ -77,273 +42,34 @@ func TestTryLocks(t *testing.T) {
 		t.Fatal("TryLock on held TASLock succeeded")
 	}
 	tas.Unlock()
-
-	var ttas TTASLock
-	if !ttas.TryLock() || ttas.TryLock() {
-		t.Fatal("TTAS TryLock semantics broken")
-	}
-	ttas.Unlock()
-
-	var tick TicketLock
-	if !tick.TryLock() || tick.TryLock() {
-		t.Fatal("Ticket TryLock semantics broken")
-	}
-	tick.Unlock()
-	if !tick.TryLock() {
-		t.Fatal("Ticket TryLock after unlock failed")
-	}
-	tick.Unlock()
-
-	var mcs MCSLock
-	var n1, n2 MCSNode
-	if !mcs.TryLock(&n1) {
-		t.Fatal("MCS TryLock on free lock failed")
-	}
-	if mcs.TryLock(&n2) {
-		t.Fatal("MCS TryLock on held lock succeeded")
-	}
-	mcs.Unlock(&n1)
-}
-
-func TestSenseBarrierRounds(t *testing.T) {
-	const parties = 6
-	const rounds = 50
-	b := NewSenseBarrier(parties)
-	var phase [parties]atomic.Int32
-	var wg sync.WaitGroup
-	for p := 0; p < parties; p++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			sense := false
-			for r := 0; r < rounds; r++ {
-				phase[id].Store(int32(r))
-				b.Await(&sense)
-				// After the barrier, everyone must have reached round r.
-				for q := 0; q < parties; q++ {
-					if got := phase[q].Load(); got < int32(r) {
-						t.Errorf("party %d saw party %d at phase %d during round %d", id, q, got, r)
-						return
-					}
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-}
-
-func TestSPSCRingOrderAndCapacity(t *testing.T) {
-	r, err := NewSPSCRing[int](4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cap() != 4 {
-		t.Fatalf("cap = %d, want 4", r.Cap())
-	}
-	for i := 0; i < 4; i++ {
-		if !r.Push(i) {
-			t.Fatalf("push %d failed", i)
-		}
-	}
-	if r.Push(99) {
-		t.Fatal("push into full ring succeeded")
-	}
-	if v, ok := r.Peek(); !ok || v != 0 {
-		t.Fatalf("peek = %d,%v, want 0,true", v, ok)
-	}
-	for i := 0; i < 4; i++ {
-		v, ok := r.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop = %d,%v, want %d,true", v, ok, i)
-		}
-	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("pop from empty ring succeeded")
-	}
-}
-
-func TestSPSCRingConcurrent(t *testing.T) {
-	r, err := NewSPSCRing[int](64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 20000
-	done := make(chan bool)
-	go func() {
-		expect := 0
-		for expect < total {
-			if v, ok := r.Pop(); ok {
-				if v != expect {
-					t.Errorf("got %d, want %d (reordering!)", v, expect)
-					done <- false
-					return
-				}
-				expect++
-			} else {
-				runtime.Gosched()
-			}
-		}
-		done <- true
-	}()
-	for i := 0; i < total; {
-		if r.Push(i) {
-			i++
-		} else {
-			runtime.Gosched()
-		}
-	}
-	if !<-done {
-		t.Fatal("consumer failed")
-	}
-}
-
-func TestMPMCRingConcurrent(t *testing.T) {
-	q, err := NewMPMCRing[int](128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const producers = 4
-	const perProducer = 5000
-	var wg sync.WaitGroup
-	seen := make([]int32, producers*perProducer)
-	var mu sync.Mutex
-	var popped int
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(base int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				for !q.Push(base + i) {
-					runtime.Gosched()
-				}
-			}
-		}(p * perProducer)
-	}
-	var cg sync.WaitGroup
-	stop := make(chan struct{})
-	for c := 0; c < 4; c++ {
-		cg.Add(1)
-		go func() {
-			defer cg.Done()
-			for {
-				v, ok := q.Pop()
-				if ok {
-					seen[v]++
-					mu.Lock()
-					popped++
-					done := popped == producers*perProducer
-					mu.Unlock()
-					if done {
-						close(stop)
-						return
-					}
-					continue
-				}
-				select {
-				case <-stop:
-					return
-				default:
-					runtime.Gosched()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	cg.Wait()
-	for i, n := range seen {
-		if n != 1 {
-			t.Fatalf("value %d seen %d times, want exactly once", i, n)
-		}
-	}
-}
-
-func TestMPMCRingFullEmpty(t *testing.T) {
-	q, err := NewMPMCRing[string](2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !q.Push("a") || !q.Push("b") {
-		t.Fatal("push into empty queue failed")
-	}
-	if q.Push("c") {
-		t.Fatal("push into full queue succeeded")
-	}
-	if v, ok := q.Pop(); !ok || v != "a" {
-		t.Fatalf("pop = %q,%v", v, ok)
-	}
-	if v, ok := q.Pop(); !ok || v != "b" {
-		t.Fatalf("pop = %q,%v", v, ok)
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("pop from empty queue succeeded")
-	}
 }
 
 func TestRingCapacityValidation(t *testing.T) {
-	if _, err := NewSPSCRing[int](0); err == nil {
+	if _, err := NewMPSCRing[int](0); err == nil {
 		t.Error("want error for zero capacity")
 	}
-	if _, err := NewMPMCRing[int](-1); err == nil {
+	if _, err := NewMPSCRing[int](-1); err == nil {
 		t.Error("want error for negative capacity")
 	}
-	r, err := NewSPSCRing[int](5)
+	q, err := NewMPSCRing[int](5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Cap() != 8 {
-		t.Errorf("cap = %d, want rounded-up 8", r.Cap())
-	}
-}
-
-func TestSPSCRingPropertyFIFO(t *testing.T) {
-	// Property: any sequence of pushes followed by pops returns the pushed
-	// prefix in order.
-	f := func(vals []int16) bool {
-		r, err := NewSPSCRing[int16](64)
-		if err != nil {
-			return false
-		}
-		var accepted []int16
-		for _, v := range vals {
-			if r.Push(v) {
-				accepted = append(accepted, v)
-			}
-		}
-		for _, want := range accepted {
-			got, ok := r.Pop()
-			if !ok || got != want {
-				return false
-			}
-		}
-		_, ok := r.Pop()
-		return !ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	if q.Cap() != 8 {
+		t.Errorf("cap = %d, want rounded-up 8", q.Cap())
 	}
 }
 
 func TestPushPopNoAllocs(t *testing.T) {
-	r, err := NewSPSCRing[int](8)
+	q, err := NewMPSCRing[int](8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Push(1)
-		r.Pop()
-	})
-	if allocs != 0 {
-		t.Errorf("SPSC push/pop allocates %.1f objects/op, want 0", allocs)
-	}
-	q, err := NewMPMCRing[int](8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(1000, func() {
 		q.Push(1)
 		q.Pop()
 	})
 	if allocs != 0 {
-		t.Errorf("MPMC push/pop allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("MPSC push/pop allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -31,9 +31,6 @@ func TestMPSCRingOrderAndCapacity(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Error("pop from empty succeeded")
 	}
-	if _, err := NewMPSCRing[int](0); err == nil {
-		t.Error("want error for capacity 0")
-	}
 }
 
 // TestMPSCRingStress hammers the ring with many producers and ONE consumer

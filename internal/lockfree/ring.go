@@ -5,74 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// SPSCRing is a single-producer single-consumer lock-free ring buffer with a
-// fixed, power-of-two capacity. It backs the wall-clock runtime's FIFO
-// channels between a producing and a consuming worker. All storage is
-// allocated at construction.
-type SPSCRing[T any] struct {
-	buf  []T
-	mask uint64
-	head atomic.Uint64 // consumer position
-	tail atomic.Uint64 // producer position
-}
-
-// NewSPSCRing creates a ring with capacity rounded up to a power of two.
-func NewSPSCRing[T any](capacity int) (*SPSCRing[T], error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("lockfree: ring capacity must be >= 1, got %d", capacity)
-	}
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	return &SPSCRing[T]{buf: make([]T, n), mask: uint64(n - 1)}, nil
-}
-
-// Cap returns the usable capacity.
-func (r *SPSCRing[T]) Cap() int { return len(r.buf) }
-
-// Len returns the current element count (approximate under concurrency).
-func (r *SPSCRing[T]) Len() int { return int(r.tail.Load() - r.head.Load()) }
-
-// Push appends v; it fails (returns false) when the ring is full.
-// Only one goroutine may push.
-//
-//yasmin:noalloc
-func (r *SPSCRing[T]) Push(v T) bool {
-	t := r.tail.Load()
-	if t-r.head.Load() >= uint64(len(r.buf)) {
-		return false
-	}
-	r.buf[t&r.mask] = v
-	r.tail.Store(t + 1)
-	return true
-}
-
-// Pop removes the oldest element; ok is false when the ring is empty.
-// Only one goroutine may pop.
-//
-//yasmin:noalloc
-func (r *SPSCRing[T]) Pop() (v T, ok bool) {
-	h := r.head.Load()
-	if h == r.tail.Load() {
-		return v, false
-	}
-	v = r.buf[h&r.mask]
-	var zero T
-	r.buf[h&r.mask] = zero
-	r.head.Store(h + 1)
-	return v, true
-}
-
-// Peek returns the oldest element without removing it.
-func (r *SPSCRing[T]) Peek() (v T, ok bool) {
-	h := r.head.Load()
-	if h == r.tail.Load() {
-		return v, false
-	}
-	return r.buf[h&r.mask], true
-}
-
 // MPSCRing is a bounded multi-producer single-consumer queue: the fan-in
 // stage of a pub-sub topic on the wall-clock backend, where any number of
 // publisher threads push concurrently and the (lock-serialised) consumer
@@ -157,92 +89,9 @@ func (q *MPSCRing[T]) Pop() (v T, ok bool) {
 	return v, true
 }
 
-// MPMCRing is a bounded multi-producer multi-consumer queue following
-// Vyukov's array-based design: each slot carries a sequence number so
-// producers and consumers claim slots with a single CAS each and never pass
-// one another. Capacity is fixed at construction (power of two).
-type MPMCRing[T any] struct {
-	slots []mpmcSlot[T]
-	mask  uint64
-	enq   atomic.Uint64
-	deq   atomic.Uint64
-}
-
+// mpmcSlot is one ring cell: seq says whose turn the slot is (Vyukov's
+// per-slot sequence number), val holds the element.
 type mpmcSlot[T any] struct {
 	seq atomic.Uint64
 	val T
-}
-
-// NewMPMCRing creates a queue with capacity rounded up to a power of two.
-func NewMPMCRing[T any](capacity int) (*MPMCRing[T], error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("lockfree: ring capacity must be >= 1, got %d", capacity)
-	}
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	q := &MPMCRing[T]{slots: make([]mpmcSlot[T], n), mask: uint64(n - 1)}
-	for i := range q.slots {
-		q.slots[i].seq.Store(uint64(i))
-	}
-	return q, nil
-}
-
-// Cap returns the queue capacity.
-func (q *MPMCRing[T]) Cap() int { return len(q.slots) }
-
-// Len returns the approximate element count.
-func (q *MPMCRing[T]) Len() int {
-	n := int64(q.enq.Load()) - int64(q.deq.Load())
-	if n < 0 {
-		return 0
-	}
-	return int(n)
-}
-
-// Push appends v; returns false when full.
-//
-//yasmin:noalloc
-func (q *MPMCRing[T]) Push(v T) bool {
-	for {
-		pos := q.enq.Load()
-		slot := &q.slots[pos&q.mask]
-		seq := slot.seq.Load()
-		switch {
-		case seq == pos: // slot free for this ticket
-			if q.enq.CompareAndSwap(pos, pos+1) {
-				slot.val = v
-				slot.seq.Store(pos + 1)
-				return true
-			}
-		case seq < pos: // queue full
-			return false
-		default: // another producer advanced; retry
-		}
-	}
-}
-
-// Pop removes the oldest element; ok is false when empty.
-//
-//yasmin:noalloc
-func (q *MPMCRing[T]) Pop() (v T, ok bool) {
-	for {
-		pos := q.deq.Load()
-		slot := &q.slots[pos&q.mask]
-		seq := slot.seq.Load()
-		switch {
-		case seq == pos+1: // slot filled for this ticket
-			if q.deq.CompareAndSwap(pos, pos+1) {
-				v = slot.val
-				var zero T
-				slot.val = zero
-				slot.seq.Store(pos + uint64(len(q.slots)))
-				return v, true
-			}
-		case seq <= pos: // queue empty
-			return v, false
-		default:
-		}
-	}
 }

@@ -444,31 +444,6 @@ func TestSpinMutexChargesContention(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	e := NewEngine(1)
-	b := NewBarrier(3)
-	var releasedAt []Time
-	for i := 0; i < 3; i++ {
-		delay := time.Duration(i+1) * time.Millisecond
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			p.Sleep(delay)
-			b.Await(p)
-			releasedAt = append(releasedAt, p.Now())
-		})
-	}
-	if err := e.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if len(releasedAt) != 3 {
-		t.Fatalf("released %d, want 3", len(releasedAt))
-	}
-	for _, at := range releasedAt {
-		if at != Time(3*time.Millisecond) {
-			t.Errorf("released at %v, want 3ms (all together)", at)
-		}
-	}
-}
-
 func TestWaitQSignalOrder(t *testing.T) {
 	e := NewEngine(1)
 	var q WaitQ

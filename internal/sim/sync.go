@@ -91,9 +91,6 @@ func (m *Mutex) Unlock(p *Proc) {
 	m.waiters.Signal(p.eng)
 }
 
-// Owner returns the current holder, or nil.
-func (m *Mutex) Owner() *Proc { return m.owner }
-
 // SpinMutex models a test-and-set spinlock: waiting burns CPU time
 // (Compute) in slices of spinQuantum until the lock frees up, which is how
 // contention becomes visible in overhead measurements.
@@ -163,35 +160,5 @@ func (m *SpinMutex) Unlock(p *Proc) {
 	m.owner = nil
 }
 
-// Owner returns the current holder, or nil.
-func (m *SpinMutex) Owner() *Proc { return m.owner }
-
 // Stats returns the number of failed probes and successful acquisitions.
 func (m *SpinMutex) Stats() (spins, acquires uint64) { return m.spins, m.acquires }
-
-// Barrier is a simulated sense-reversing barrier for a fixed party count.
-type Barrier struct {
-	parties int
-	arrived int
-	waiters WaitQ
-}
-
-// NewBarrier creates a barrier for n parties.
-func NewBarrier(n int) *Barrier {
-	if n < 1 {
-		panic("sim: barrier needs at least one party")
-	}
-	return &Barrier{parties: n}
-}
-
-// Await blocks until all parties have arrived. The last arriver releases
-// everyone and does not block.
-func (b *Barrier) Await(p *Proc) {
-	b.arrived++
-	if b.arrived == b.parties {
-		b.arrived = 0
-		b.waiters.Broadcast(p.eng)
-		return
-	}
-	b.waiters.Wait(p)
-}

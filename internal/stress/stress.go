@@ -4,22 +4,13 @@
 //	stress-ng -C 8 -c 8 -T 8 -y 8
 //
 // i.e. 8 cache-thrashing stressors, 8 CPU stressors, 8 timer stressors and
-// 8 sched_yield stressors. Stressors affect the simulation in two ways:
-//
-//  1. They determine a scalar load factor fed to the kernel latency models
-//     (cache and timer stressors weigh more: they hit exactly the IRQ and
-//     scheduling paths cyclictest measures).
-//  2. Optionally, they run as simulation processes that generate timer and
-//     scheduler event traffic, perturbing event interleavings the same way
-//     real stressors perturb run queues.
+// 8 sched_yield stressors. Stressors affect the simulation through a scalar
+// load factor fed to the kernel latency models (cache and timer stressors
+// weigh more: they hit exactly the IRQ and scheduling paths cyclictest
+// measures).
 package stress
 
-import (
-	"fmt"
-	"time"
-
-	"github.com/yasmin-rt/yasmin/internal/sim"
-)
+import "fmt"
 
 // Config mirrors the stress-ng flags the paper passes.
 type Config struct {
@@ -49,47 +40,4 @@ func (c Config) Load() float64 {
 // String formats the config stress-ng style.
 func (c Config) String() string {
 	return fmt.Sprintf("stress-ng -C %d -c %d -T %d -y %d", c.Cache, c.CPU, c.Timer, c.Yield)
-}
-
-// Spawn starts the stressors as simulation processes. They run until the
-// engine stops; they generate event traffic (timer arms, yields) without
-// occupying the middleware's shielded cores, mirroring the paper's setup
-// where stress-ng runs under the OS while YASMIN cores are shielded via
-// isolcpus.
-func (c Config) Spawn(eng *sim.Engine) {
-	for i := 0; i < c.Timer; i++ {
-		id := i
-		eng.Spawn(fmt.Sprintf("stress-timer-%d", id), func(p *sim.Proc) {
-			// Timer stressors re-arm aggressively: 1-3ms periods.
-			period := time.Duration(1+id%3) * time.Millisecond
-			for {
-				if intr, _ := p.Sleep(period); intr {
-					return
-				}
-			}
-		})
-	}
-	for i := 0; i < c.Yield; i++ {
-		id := i
-		eng.Spawn(fmt.Sprintf("stress-yield-%d", id), func(p *sim.Proc) {
-			for {
-				p.Yield()
-				if intr, _ := p.Sleep(500 * time.Microsecond); intr {
-					return
-				}
-			}
-		})
-	}
-	// Cache and CPU stressors burn unshielded-core time; in the simulation
-	// they only need to exist as slow heartbeat processes — their pressure
-	// is carried by Load() into the kernel model.
-	for i := 0; i < c.Cache+c.CPU; i++ {
-		eng.Spawn(fmt.Sprintf("stress-cpu-%d", i), func(p *sim.Proc) {
-			for {
-				if intr, _ := p.Sleep(10 * time.Millisecond); intr {
-					return
-				}
-			}
-		})
-	}
 }

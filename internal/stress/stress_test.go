@@ -3,9 +3,6 @@ package stress
 import (
 	"strings"
 	"testing"
-	"time"
-
-	"github.com/yasmin-rt/yasmin/internal/sim"
 )
 
 func TestPaperConfig(t *testing.T) {
@@ -39,16 +36,5 @@ func TestLoadMonotoneAndBounded(t *testing.T) {
 	paper := PaperConfig().Load()
 	if paper < 0.85 || paper > 0.95 {
 		t.Errorf("paper load = %g, want ~0.91", paper)
-	}
-}
-
-func TestSpawnGeneratesEvents(t *testing.T) {
-	eng := sim.NewEngine(1)
-	Config{Timer: 2, Yield: 1, Cache: 1, CPU: 1}.Spawn(eng)
-	if err := eng.Run(sim.Time(20 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Steps() < 20 {
-		t.Errorf("only %d events; stressors not generating traffic", eng.Steps())
 	}
 }
