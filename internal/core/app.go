@@ -859,7 +859,7 @@ func (a *App) homeShardOf(t *task) int {
 // root relative deadline (conservative).
 func (a *App) graphDeadlineFor(t *task) time.Duration {
 	best := time.Duration(0)
-	seen := make(map[TID]bool, a.ntasks)
+	seen := make(map[TID]bool)
 	var walk func(x *task)
 	walk = func(x *task) {
 		if seen[x.id] {
@@ -887,13 +887,24 @@ func (a *App) graphDeadlineFor(t *task) time.Duration {
 	return best
 }
 
+// Colours of the depth-first cycle searches over zero-delay edges.
+const (
+	white = iota
+	grey
+	black
+)
+
+// checkAcyclic rejects a cycle over zero-delay edges. Without such an edge
+// no cycle is possible, and the search allocates nothing.
 func (a *App) checkAcyclic() error {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]int, a.ntasks)
+	zeroDelay := false
+	for i := 0; i < a.nedges && !zeroDelay; i++ {
+		zeroDelay = !a.edges[i].dead && a.edges[i].initial == 0
+	}
+	if !zeroDelay {
+		return nil
+	}
+	color := make([]uint8, a.ntasks)
 	var visit func(i int) error
 	visit = func(i int) error {
 		color[i] = grey

@@ -13,6 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 	"time"
 
@@ -66,19 +67,6 @@ type stagedEdge struct {
 	delay    int
 }
 
-// mergedTask is the validation/admission view of one task of the target
-// configuration (post-drain steady state). accels carries the task's worst
-// critical section per accelerator pool for the blocking-aware admission
-// test.
-type mergedTask struct {
-	id     TID
-	d      TData
-	wcet   time.Duration
-	nver   int
-	staged bool
-	accels []taskset.AccelUse
-}
-
 // Reconfig is a live-reconfiguration transaction. All operations stage
 // changes; nothing is visible to the scheduler until Reconfigure validates
 // the batch, admits it, and commits — or rolls every staged slot back.
@@ -102,10 +90,6 @@ type Reconfig struct {
 	retuneOrder      []TID
 	pubs, subs       []reconfigEndpoint
 	mode             *uint32
-
-	// merged model built by validate, reused by admit.
-	merged []mergedTask
-	preds  [][]int // indices into merged
 }
 
 // Reconfigure runs one transactional reconfiguration: fn stages the changes,
@@ -178,10 +162,11 @@ func (a *App) PrepareReconfigure(c rt.Ctx, fn func(tx *Reconfig) error) (*Prepar
 	if err := fn(tx); err != nil {
 		return nil, err
 	}
-	if err := tx.validate(); err != nil {
+	set, adm, err := tx.validate()
+	if err != nil {
 		return nil, err
 	}
-	if err := tx.admit(); err != nil {
+	if err := tx.admit(set, adm); err != nil {
 		return nil, err
 	}
 	prepared = true
@@ -718,156 +703,156 @@ func (tx *Reconfig) rollback() {
 	tx.addedTasks, tx.addedTopics = nil, nil
 }
 
-// validate checks the whole batch against the merged target configuration:
+// validate checks the whole batch against the target configuration —
 // structural rules (the same ones Start's resolve enforces), removal
-// coverage and static capacity. It also builds the merged model admission
-// reuses.
-func (tx *Reconfig) validate() error {
+// coverage and static capacity — and, in the same pass over the task table
+// under App.mu, writes the rows admit tests. The target configuration is
+// read in place: live tasks by TID with their retunes overlaid, then the
+// staged ones in staging order, which is also the row order. The rows go
+// straight into one set sized from the slot table, so a transaction
+// allocates the same number of objects whatever the task count. The edge
+// relation is built only when the target has edges, and the priority keys
+// and cores only when the admission test reads them.
+func (tx *Reconfig) validate() (*taskset.Set, analysis.Admission, error) {
 	a := tx.a
 	a.mu.Lock(tx.c)
 	defer a.mu.Unlock(tx.c)
-
-	// Merged task list: alive tasks (with retunes applied) minus removals,
-	// plus staged ones.
-	index := make(map[TID]int)
-	for i := 0; i < a.ntasks; i++ {
-		t := &a.tasks[i]
-		if t.state != taskRunning && t.state != taskAdmitted {
-			continue
-		}
-		if tx.removeTasks[t.id] {
-			continue
-		}
-		d := t.d
-		if rd, ok := tx.retunes[t.id]; ok {
-			d = rd
-		}
-		var wcet time.Duration
-		for vi := range t.versions {
-			if w := t.versions[vi].props.WCET; w > wcet {
-				wcet = w
-			}
-		}
-		index[t.id] = len(tx.merged)
-		tx.merged = append(tx.merged, mergedTask{id: t.id, d: d, wcet: wcet, nver: len(t.versions),
-			accels: a.accelUsesLocked(t)})
-	}
-	for _, id := range tx.addedTasks {
-		t := &a.tasks[id]
-		var wcet time.Duration
-		for vi := range t.versions {
-			if w := t.versions[vi].props.WCET; w > wcet {
-				wcet = w
-			}
-		}
-		index[id] = len(tx.merged)
-		tx.merged = append(tx.merged, mergedTask{id: id, d: t.d, wcet: wcet, nver: len(t.versions), staged: true,
-			accels: a.accelUsesLocked(t)})
+	adm := analysis.Admission{
+		Workers:       a.cfg.Workers,
+		Partitioned:   a.cfg.Mapping == MappingPartitioned,
+		FixedPriority: a.cfg.Priority != PriorityEDF,
 	}
 
-	// Merged edge relation: alive edges not severed by the transaction,
-	// plus staged ones.
-	type medge struct{ src, dst, delay int }
-	var edges []medge
-	dying := 0
-	for i := 0; i < a.nedges; i++ {
-		e := &a.edges[i]
-		if e.dead {
-			continue
-		}
-		if tx.severs(e) {
-			dying++
-			continue
-		}
-		si, sok := index[e.src]
-		di, dok := index[e.dst]
-		if !sok || !dok {
-			continue // endpoints draining from an earlier epoch
-		}
-		edges = append(edges, medge{src: si, dst: di, delay: e.initial})
-	}
 	for _, se := range tx.stagedEdges {
-		si, sok := index[se.src]
-		di, dok := index[se.dst]
-		if !sok || !dok {
-			return fmt.Errorf("core: staged edge %d->%d references a task outside the target configuration", se.src, se.dst)
+		if !tx.inTarget(se.src) || !tx.inTarget(se.dst) {
+			return nil, adm, fmt.Errorf("core: staged edge %d->%d references a task outside the target configuration", se.src, se.dst)
 		}
-		edges = append(edges, medge{src: si, dst: di, delay: se.delay})
 	}
 
 	// Static capacity: staged edges must fit the recycled + unused slots.
+	dying := 0
+	for i := 0; i < a.nedges; i++ {
+		if e := &a.edges[i]; !e.dead && tx.severs(e) {
+			dying++
+		}
+	}
 	freeEdges := len(tx.a.freeEdgeSlots) + (len(a.edges) - a.nedges) + dying
 	if len(tx.stagedEdges) > freeEdges {
-		return fmt.Errorf("%w: %d staged edges, %d edge slots free (MaxChannels=%d)",
+		return nil, adm, fmt.Errorf("%w: %d staged edges, %d edge slots free (MaxChannels=%d)",
 			ErrTooMany, len(tx.stagedEdges), freeEdges, len(a.edges))
 	}
+	g := tx.graph()
 
-	// Per-task structural rules on the target configuration.
-	tx.preds = make([][]int, len(tx.merged))
-	succ := make([][]int, len(tx.merged))
-	zeroDelayIn := make([]bool, len(tx.merged))
-	hasIn := make([]bool, len(tx.merged))
-	for _, e := range edges {
-		tx.preds[e.dst] = append(tx.preds[e.dst], e.src)
-		hasIn[e.dst] = true
-		if e.delay == 0 {
-			succ[e.src] = append(succ[e.src], e.dst)
-			zeroDelayIn[e.dst] = true
+	pl := a.env.Platform()
+	globalSpeed := 1.0
+	if pl != nil {
+		for i, wc := range a.cfg.WorkerCores {
+			if wc >= 0 && wc < len(pl.Cores) {
+				s := pl.Cores[wc].Speed
+				if i == 0 || s < globalSpeed {
+					globalSpeed = s
+				}
+			}
 		}
 	}
-	for i := range tx.merged {
-		m := &tx.merged[i]
-		if m.nver == 0 {
-			return fmt.Errorf("core: task %s has no version", m.d.Name)
+	// Every slot that is not free holds a live, draining or staged task, so
+	// this bounds the rows; it is exact unless tasks drain or lack a WCET.
+	rows := max(a.ntasks-len(a.freeTaskSlots)-len(tx.removeOrder), 0)
+	set := &taskset.Set{Tasks: make([]taskset.Task, 0, rows)}
+	// DM and EDF order by deadline, the analysis' default key; RM and user
+	// priorities need their own.
+	if a.cfg.Priority == PriorityRM || a.cfg.Priority == PriorityUser {
+		adm.PrioKey = make([]int64, 0, rows)
+	}
+	if adm.Partitioned {
+		adm.Cores = make([]int, 0, rows)
+	}
+	for t, d := range tx.targetTasks() {
+		if len(t.versions) == 0 {
+			return nil, adm, fmt.Errorf("core: task %s has no version", d.Name)
 		}
-		if m.d.Period > 0 && zeroDelayIn[i] {
-			return fmt.Errorf("core: task %s is data-activated but has a period; only root nodes carry periods (feedback into a periodic root needs delay tokens)", m.d.Name)
+		hasIn, zeroIn := g.inputs(t.id)
+		if d.Period > 0 && zeroIn {
+			return nil, adm, fmt.Errorf("core: task %s is data-activated but has a period; only root nodes carry periods (feedback into a periodic root needs delay tokens)", d.Name)
 		}
 		// Every rule deriveTaskLocked re-checks at commit must be caught
 		// here, or an admitted transaction would panic mid-commit. A
 		// sporadic task without a minimum inter-arrival time has no implicit
 		// deadline to fall back on, exactly like an aperiodic one.
-		if m.d.Period == 0 && !hasIn[i] && m.d.Deadline == 0 {
-			if m.d.Sporadic {
-				return fmt.Errorf("core: sporadic task %s needs a minimum inter-arrival time (Period) or an explicit deadline", m.d.Name)
+		if d.Period == 0 && !hasIn && d.Deadline == 0 {
+			if d.Sporadic {
+				return nil, adm, fmt.Errorf("core: sporadic task %s needs a minimum inter-arrival time (Period) or an explicit deadline", d.Name)
 			}
-			return fmt.Errorf("core: aperiodic task %s needs an explicit deadline (did a removal orphan it?)", m.d.Name)
+			return nil, adm, fmt.Errorf("core: aperiodic task %s needs an explicit deadline (did a removal orphan it?)", d.Name)
 		}
-		if a.cfg.Mapping == MappingPartitioned {
-			if m.d.VirtCore < 0 || m.d.VirtCore >= a.cfg.Workers {
-				return fmt.Errorf("core: task %s: VirtCore %d out of [0,%d) for partitioned mapping",
-					m.d.Name, m.d.VirtCore, a.cfg.Workers)
+		if adm.Partitioned && (d.VirtCore < 0 || d.VirtCore >= a.cfg.Workers) {
+			return nil, adm, fmt.Errorf("core: task %s: VirtCore %d out of [0,%d) for partitioned mapping",
+				d.Name, d.VirtCore, a.cfg.Workers)
+		}
+
+		// The admission row. Tasks without WCET information contribute no
+		// demand, and a data-activated task without a periodic root is
+		// unanalysable: both are admitted blindly.
+		var wcet time.Duration
+		for vi := range t.versions {
+			wcet = max(wcet, t.versions[vi].props.WCET)
+		}
+		if wcet <= 0 {
+			continue
+		}
+		period, deadline := d.Period, d.Deadline
+		if period == 0 {
+			rp, rd := g.rootTiming(tx, t.id)
+			if rp == 0 {
+				continue
 			}
+			period = rp
+			if deadline == 0 {
+				deadline = rd
+			}
+		}
+		if deadline == 0 {
+			deadline = period
+		}
+		speed := globalSpeed
+		if adm.Partitioned && pl != nil {
+			wc := a.cfg.WorkerCores[d.VirtCore]
+			if wc >= 0 && wc < len(pl.Cores) {
+				speed = pl.Cores[wc].Speed
+			}
+		}
+		if speed > 0 && speed != 1.0 {
+			wcet = time.Duration(float64(wcet) / speed)
+		}
+		// Accelerator sections run at the accelerator's speed, not the
+		// core's: the critical-section lengths stay nominal.
+		set.Tasks = append(set.Tasks, taskset.Task{
+			ID:       int(t.id),
+			Name:     d.Name,
+			Period:   period,
+			Deadline: deadline,
+			Offset:   d.ReleaseOffset,
+			WCET:     wcet,
+			Sporadic: d.Sporadic,
+			Accels:   a.accelUsesLocked(t),
+		})
+		switch a.cfg.Priority {
+		case PriorityRM:
+			adm.PrioKey = append(adm.PrioKey, int64(period))
+		case PriorityUser:
+			adm.PrioKey = append(adm.PrioKey, int64(d.Priority))
+		}
+		if adm.Partitioned {
+			adm.Cores = append(adm.Cores, d.VirtCore)
 		}
 	}
 
-	// Cycle check over zero-delay edges.
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]int, len(tx.merged))
-	var visit func(i int) error
-	visit = func(i int) error {
-		color[i] = grey
-		for _, d := range succ[i] {
-			switch color[d] {
-			case grey:
-				return fmt.Errorf("core: channel graph has a cycle through task %s", tx.merged[d].d.Name)
-			case white:
-				if err := visit(d); err != nil {
-					return err
-				}
-			}
-		}
-		color[i] = black
-		return nil
-	}
-	for i := range tx.merged {
-		if color[i] == white {
-			if err := visit(i); err != nil {
-				return err
+	// Cycle check over zero-delay edges, depth first from every task in
+	// row order.
+	if g != nil {
+		for t := range tx.targetTasks() {
+			if c := g.cycle(t.id); c >= 0 {
+				return nil, adm, fmt.Errorf("core: channel graph has a cycle through task %s", a.tasks[c].d.Name)
 			}
 		}
 	}
@@ -886,131 +871,201 @@ func (tx *Reconfig) validate() error {
 		}
 		for _, p := range tp.pubs {
 			if !leaving(p) {
-				return fmt.Errorf("core: topic %s still has publisher %s; remove it in the same transaction", tp.name, a.tasks[p].d.Name)
+				return nil, adm, fmt.Errorf("core: topic %s still has publisher %s; remove it in the same transaction", tp.name, a.tasks[p].d.Name)
 			}
 		}
 		for _, s := range tp.subs {
 			if !leaving(s.task) {
-				return fmt.Errorf("core: topic %s still has subscriber %s; remove it in the same transaction", tp.name, a.tasks[s.task].d.Name)
+				return nil, adm, fmt.Errorf("core: topic %s still has subscriber %s; remove it in the same transaction", tp.name, a.tasks[s.task].d.Name)
 			}
 		}
 		for i := 0; i < a.nedges; i++ {
 			e := &a.edges[i]
 			if !e.dead && e.ch == c && !tx.severs(e) {
-				return fmt.Errorf("core: topic %s still connects %s->%s", tp.name,
+				return nil, adm, fmt.Errorf("core: topic %s still connects %s->%s", tp.name,
 					a.tasks[e.src].d.Name, a.tasks[e.dst].d.Name)
 			}
 		}
 		for _, se := range tx.stagedEdges {
 			if se.ch == c {
-				return fmt.Errorf("core: topic %s is removed but a staged edge uses it", tp.name)
+				return nil, adm, fmt.Errorf("core: topic %s is removed but a staged edge uses it", tp.name)
 			}
 		}
 	}
-	return nil
+	return set, adm, nil
 }
 
-// admit runs the online admission test over the target configuration,
-// keyed on Config.Mapping and Config.Priority. Tasks without WCET
+// inTarget reports whether task id belongs to the target configuration:
+// alive and not removed by the transaction, or staged by it. Caller holds
+// a.mu.
+func (tx *Reconfig) inTarget(id TID) bool {
+	switch tx.a.tasks[id].state {
+	case taskRunning, taskAdmitted:
+		return !tx.removeTasks[id]
+	case taskStaged:
+		return true
+	}
+	return false
+}
+
+// targetData returns task id's timing in the target configuration: its
+// retune if the transaction stages one. Caller holds a.mu.
+func (tx *Reconfig) targetData(id TID) TData {
+	if d, ok := tx.retunes[id]; ok {
+		return d
+	}
+	return tx.a.tasks[id].d
+}
+
+// targetTasks yields the tasks of the target configuration with their
+// target timing, in row order: live tasks by TID, then the staged ones in
+// staging order. Caller holds a.mu.
+func (tx *Reconfig) targetTasks() iter.Seq2[*task, TData] {
+	return func(yield func(*task, TData) bool) {
+		a := tx.a
+		for i := 0; i < a.ntasks; i++ {
+			t := &a.tasks[i]
+			if (t.state != taskRunning && t.state != taskAdmitted) || tx.removeTasks[t.id] {
+				continue
+			}
+			if !yield(t, tx.targetData(t.id)) {
+				return
+			}
+		}
+		for _, id := range tx.addedTasks {
+			if !yield(&a.tasks[id], a.tasks[id].d) {
+				return
+			}
+		}
+	}
+}
+
+// txGraph is the target configuration's edge relation, indexed by TID:
+// each task's in-edge sources and zero-delay out-edge destinations, in edge
+// order. A nil *txGraph is the relation without edges.
+type txGraph struct {
+	in, out [][]TID
+	zeroIn  []bool  // some in-edge carries no delay tokens
+	color   []uint8 // cycle search: white, grey, black
+	seen    []int32 // the rootTiming walk that last reached the task
+	walk    int32
+}
+
+// graph builds the target's edge relation — the live edges the transaction
+// keeps, in slot order, then the staged ones — or returns nil when the
+// target has no edges. Caller holds a.mu.
+func (tx *Reconfig) graph() *txGraph {
+	a := tx.a
+	var g *txGraph
+	add := func(src, dst TID, delay int) {
+		if g == nil {
+			n := a.ntasks
+			g = &txGraph{in: make([][]TID, n), out: make([][]TID, n),
+				zeroIn: make([]bool, n), color: make([]uint8, n), seen: make([]int32, n)}
+		}
+		g.in[dst] = append(g.in[dst], src)
+		if delay == 0 {
+			g.out[src] = append(g.out[src], dst)
+			g.zeroIn[dst] = true
+		}
+	}
+	for i := 0; i < a.nedges; i++ {
+		// A kept edge with an endpoint outside the target belongs to a task
+		// draining from an earlier epoch.
+		if e := &a.edges[i]; !e.dead && !tx.severs(e) && tx.inTarget(e.src) && tx.inTarget(e.dst) {
+			add(e.src, e.dst, e.initial)
+		}
+	}
+	for _, se := range tx.stagedEdges {
+		add(se.src, se.dst, se.delay)
+	}
+	return g
+}
+
+// inputs reports whether task id has in-edges in the target, and whether
+// one of them carries no delay tokens.
+func (g *txGraph) inputs(id TID) (hasIn, zeroIn bool) {
+	if g == nil {
+		return false, false
+	}
+	return len(g.in[id]) > 0, g.zeroIn[id]
+}
+
+// cycle runs the depth-first search over zero-delay edges from task id and
+// returns the task a cycle closes on, or -1.
+func (g *txGraph) cycle(id TID) TID {
+	if g.color[id] != white {
+		return -1
+	}
+	g.color[id] = grey
+	for _, d := range g.out[id] {
+		switch g.color[d] {
+		case grey:
+			return d
+		case white:
+			if c := g.cycle(d); c >= 0 {
+				return c
+			}
+		}
+	}
+	g.color[id] = black
+	return -1
+}
+
+// rootTiming walks the target's in-edges back from data-activated task id
+// to its periodic roots and returns the smallest root period with its
+// matching effective deadline. Each walk stamps the tasks it reaches with
+// its own number, so no walk has anything to clear. Caller holds a.mu.
+func (g *txGraph) rootTiming(tx *Reconfig, id TID) (time.Duration, time.Duration) {
+	if g == nil {
+		return 0, 0
+	}
+	g.walk++
+	return g.rootWalk(tx, id)
+}
+
+func (g *txGraph) rootWalk(tx *Reconfig, id TID) (bestP, bestD time.Duration) {
+	if g.seen[id] == g.walk {
+		return 0, 0
+	}
+	g.seen[id] = g.walk
+	for _, src := range g.in[id] {
+		var p, d time.Duration
+		if sd := tx.targetData(src); sd.Period > 0 {
+			p, d = sd.Period, sd.Deadline
+			if d == 0 {
+				d = p
+			}
+		} else {
+			p, d = g.rootWalk(tx, src)
+		}
+		if p > 0 && (bestP == 0 || p < bestP) {
+			bestP, bestD = p, d
+		}
+	}
+	return bestP, bestD
+}
+
+// admit runs the online admission test, keyed on Config.Mapping and
+// Config.Priority, over the rows validate wrote. Tasks without WCET
 // information contribute no demand (they are admitted blindly — declare
 // version WCETs to make admission meaningful). The test covers the
 // post-drain steady state; the transient overlap while removed tasks drain
 // is bounded by one in-flight job per retiring task.
-func (tx *Reconfig) admit() error {
-	a := tx.a
-	set := &taskset.Set{}
-	var keys []int64
-	var cores []int
-	pl := a.env.Platform()
-	globalSpeed := 1.0
-	if pl != nil {
-		for i, wc := range a.cfg.WorkerCores {
-			if wc >= 0 && wc < len(pl.Cores) {
-				s := pl.Cores[wc].Speed
-				if i == 0 || s < globalSpeed {
-					globalSpeed = s
-				}
-			}
-		}
-	}
-	seen := make([]bool, len(tx.merged))
-	for i := range tx.merged {
-		m := &tx.merged[i]
-		if m.wcet <= 0 {
-			continue
-		}
-		period := m.d.Period
-		deadline := m.d.Deadline
-		if period == 0 {
-			for k := range seen {
-				seen[k] = false
-			}
-			rp, rd := tx.rootTiming(i, seen)
-			if rp == 0 {
-				continue // aperiodic with no periodic root: unanalysable, admitted blindly
-			}
-			period = rp
-			if deadline == 0 {
-				deadline = rd
-			}
-		}
-		if deadline == 0 {
-			deadline = period
-		}
-		speed := globalSpeed
-		if a.cfg.Mapping == MappingPartitioned && pl != nil {
-			wc := a.cfg.WorkerCores[m.d.VirtCore]
-			if wc >= 0 && wc < len(pl.Cores) {
-				speed = pl.Cores[wc].Speed
-			}
-		}
-		wcet := m.wcet
-		if speed > 0 && speed != 1.0 {
-			wcet = time.Duration(float64(wcet) / speed)
-		}
-		// Accelerator sections run at the accelerator's speed, not the
-		// core's: the critical-section lengths stay nominal.
-		set.Tasks = append(set.Tasks, taskset.Task{
-			ID:       int(m.id),
-			Name:     m.d.Name,
-			Period:   period,
-			Deadline: deadline,
-			Offset:   m.d.ReleaseOffset,
-			WCET:     wcet,
-			Sporadic: m.d.Sporadic,
-			Accels:   m.accels,
-		})
-		switch a.cfg.Priority {
-		case PriorityRM:
-			keys = append(keys, int64(period))
-		case PriorityDM:
-			keys = append(keys, int64(deadline))
-		case PriorityUser:
-			keys = append(keys, int64(m.d.Priority))
-		default:
-			// EDF: dynamic priorities; the key is only consumed by the
-			// blocking analysis, whose preemption levels are the relative
-			// deadlines.
-			keys = append(keys, int64(deadline))
-		}
-		cores = append(cores, m.d.VirtCore)
-	}
-	adm := analysis.Admission{
-		Workers:       a.cfg.Workers,
-		Partitioned:   a.cfg.Mapping == MappingPartitioned,
-		FixedPriority: a.cfg.Priority != PriorityEDF,
-		Cores:         cores,
-	}
-	if adm.FixedPriority {
-		adm.PrioKey = keys
-	}
+func (tx *Reconfig) admit(set *taskset.Set, adm analysis.Admission) error {
 	// Accelerator contention is priced into admission: the per-task PIP
 	// blocking bounds (worst lower-priority critical section per shared
 	// pool) join the schedulability test. Under EDF the blocking priority
-	// order is the deadline order (preemption levels).
-	terms := analysis.PIPBlocking(set, keys)
-	blocking := analysis.Durations(terms)
-	adm.Blocking = blocking
+	// order is the deadline order (preemption levels). Without an
+	// accelerator use every term is zero, so neither is computed.
+	var terms []analysis.BlockingTerm
+	for i := range set.Tasks {
+		if len(set.Tasks[i].Accels) > 0 {
+			terms = analysis.PIPBlocking(set, adm.PrioKey)
+			adm.Blocking = analysis.Durations(terms)
+			break
+		}
+	}
 	res, err := analysis.Admit(set, adm)
 	if err != nil {
 		return err
@@ -1025,7 +1080,7 @@ func (tx *Reconfig) admit() error {
 		// When the set is schedulable ignoring blocking, the accelerator
 		// contention alone is the reason for rejection: say so, naming the
 		// blocking term the offender pays.
-		if anyBlocking(blocking) {
+		if anyBlocking(adm.Blocking) {
 			noBlock := adm
 			noBlock.Blocking = nil
 			if res2, err2 := analysis.Admit(set, noBlock); err2 == nil && res2.Schedulable {
@@ -1052,34 +1107,6 @@ func anyBlocking(blocking []time.Duration) bool {
 		}
 	}
 	return false
-}
-
-// rootTiming walks the merged predecessor relation back to periodic roots
-// and returns the smallest root period with its matching effective deadline.
-func (tx *Reconfig) rootTiming(i int, seen []bool) (time.Duration, time.Duration) {
-	if seen[i] {
-		return 0, 0
-	}
-	seen[i] = true
-	var bestP, bestD time.Duration
-	consider := func(p, d time.Duration) {
-		if p > 0 && (bestP == 0 || p < bestP) {
-			bestP, bestD = p, d
-		}
-	}
-	for _, pi := range tx.preds[i] {
-		m := &tx.merged[pi]
-		if m.d.Period > 0 {
-			d := m.d.Deadline
-			if d == 0 {
-				d = m.d.Period
-			}
-			consider(m.d.Period, d)
-		} else {
-			consider(tx.rootTiming(pi, seen))
-		}
-	}
-	return bestP, bestD
 }
 
 // commit applies the admitted plan at the quiescent barrier: the App lock is

@@ -2,11 +2,15 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/yasmin-rt/yasmin/internal/rt"
+	"github.com/yasmin-rt/yasmin/internal/taskset"
 )
 
 // declSpin declares a single-version periodic task with a WCET the admission
@@ -403,4 +407,97 @@ func TestReconfigureEdgeAndTopicLifecycle(t *testing.T) {
 	if err := r.app.FirstError(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReconfigureAllocsIndependentOfLiveTasks runs remove-4/add-4/retune-4
+// transactions on a stopped OSEnv App with 1,000 and with 10,000 live tasks.
+// A transaction must allocate the same number of objects at both sizes, and
+// no more bytes than one admission row per live task plus 64 KiB.
+func TestReconfigureAllocsIndependentOfLiveTasks(t *testing.T) {
+	objs := map[int]uint64{}
+	for _, n := range []int{1000, 10000} {
+		o, b := reconfigureAllocs(t, n)
+		objs[n] = o
+		if limit := uint64(n)*uint64(unsafe.Sizeof(taskset.Task{})) + 64<<10; b > limit {
+			t.Errorf("%d live tasks: %d B per transaction, want <= %d", n, b, limit)
+		}
+		t.Logf("%d live tasks: %d objects, %d KiB per transaction", n, o, b>>10)
+	}
+	if objs[1000] != objs[10000] {
+		t.Errorf("objects per transaction: %d at 1k live tasks, %d at 10k; want equal", objs[1000], objs[10000])
+	}
+}
+
+// reconfigureAllocs returns the mean objects and bytes one transaction
+// allocates against n live tasks.
+func reconfigureAllocs(t *testing.T, n int) (objs, bytes uint64) {
+	const dyn, runs = 4, 20
+	env := rt.NewOSEnv()
+	app, err := New(Config{Workers: 2, Priority: PriorityEDF, MaxTasks: n + 4*dyn}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noop := func(*ExecCtx, any) error { return nil }
+	bulk := make([]TData, n)
+	for i := range bulk {
+		bulk[i] = TData{Name: fmt.Sprint("bulk-", i), Period: ms(200 + i%800)}
+		id, err := app.TaskDecl(bulk[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := app.VersionDecl(id, noop, nil, VSelect{WCET: us(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Names are built before measuring: only the transaction is counted.
+	names := make([][dyn]string, runs+2)
+	for k := range names {
+		for i := range names[k] {
+			names[k][i] = fmt.Sprintf("dyn-%d-%d", k, i)
+		}
+	}
+	env.RunMain(func(c rt.Ctx) {
+		tx := func(k int) {
+			err := app.Reconfigure(c, func(tx *Reconfig) error {
+				for i := 0; k > 0 && i < dyn; i++ {
+					if err := tx.RemoveTaskByName(names[k-1][i]); err != nil {
+						return err
+					}
+				}
+				for i := 0; i < dyn; i++ {
+					id, err := tx.AddTask(TData{Name: names[k][i], Period: ms(20)})
+					if err != nil {
+						return err
+					}
+					if _, err := tx.AddVersion(id, noop, nil, VSelect{WCET: us(1)}); err != nil {
+						return err
+					}
+				}
+				for i := 0; i < dyn; i++ {
+					id := TID((k*dyn + i) * 7 % n)
+					d := bulk[id]
+					d.Period = ms(200 + (k+i)%800)
+					if err := tx.Retune(id, d); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("transaction %d: %v", k, err)
+			}
+		}
+		tx(0)
+		tx(1)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for k := 2; k < runs+2; k++ {
+			tx(k)
+		}
+		runtime.ReadMemStats(&m1)
+		objs = (m1.Mallocs - m0.Mallocs) / runs
+		bytes = (m1.TotalAlloc - m0.TotalAlloc) / runs
+	})
+	env.Wait()
+	return objs, bytes
 }

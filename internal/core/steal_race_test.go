@@ -141,11 +141,20 @@ func TestStealChurnRaceOSEnv(t *testing.T) {
 	}
 	var churners atomic.Int64
 	churners.Store(2)
+	// The churners reconfigure the running app: a transaction committed
+	// before Start publishes no schedView, and Start publishes one for all
+	// of them, which the epochs+1 count below does not allow for.
+	awaitStart := func(c rt.Ctx) {
+		for !app.Started() && !stop.Load() {
+			c.Sleep(100 * time.Microsecond)
+		}
+	}
 
 	// Churner 1: admit and retire a transient compute task, so retirement
 	// quiescence and slot recycling run against live steal traffic.
 	env.Spawn("churn-retire", rt.UnpinnedCore, func(c rt.Ctx) {
 		defer churners.Add(-1)
+		awaitStart(c)
 		for !stop.Load() {
 			err := app.Reconfigure(c, func(tx *Reconfig) error {
 				id, err := tx.AddTask(TData{Name: "transient", Period: time.Millisecond})
@@ -175,6 +184,7 @@ func TestStealChurnRaceOSEnv(t *testing.T) {
 	// read the task's tables lock-free.
 	env.Spawn("churn-retune", rt.UnpinnedCore, func(c rt.Ctx) {
 		defer churners.Add(-1)
+		awaitStart(c)
 		up := false
 		for !stop.Load() {
 			period := time.Millisecond
