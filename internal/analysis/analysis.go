@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -75,27 +74,6 @@ func ceilDiv(a, b int64) int64 {
 		return 0
 	}
 	return (a + b - 1) / b
-}
-
-// RMSchedulableLL applies the Liu & Layland sufficient bound for
-// rate-monotonic scheduling: U <= n(2^(1/n)-1).
-func RMSchedulableLL(s *taskset.Set) bool {
-	n := float64(s.Len())
-	if n == 0 {
-		return true
-	}
-	return s.TotalUtilization() <= n*(math.Pow(2, 1/n)-1)
-}
-
-// EDFSchedulableImplicit applies the exact U <= 1 test for preemptive EDF
-// with implicit deadlines on one processor.
-func EDFSchedulableImplicit(s *taskset.Set) bool {
-	for i := range s.Tasks {
-		if s.Tasks[i].Deadline != s.Tasks[i].Period {
-			return false // not applicable; caller should use DemandBound
-		}
-	}
-	return s.TotalUtilization() <= 1.0+1e-12
 }
 
 // DemandBoundEDF applies the processor-demand criterion for preemptive EDF

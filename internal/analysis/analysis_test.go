@@ -82,38 +82,18 @@ func TestRTABlockingLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestLiuLaylandBound(t *testing.T) {
-	// U = 0.75 <= 3*(2^(1/3)-1) ~ 0.7798.
-	s := &taskset.Set{Tasks: []taskset.Task{
-		mkTask(0, ms(25), ms(100), ms(100)),
-		mkTask(1, ms(25), ms(100), ms(100)),
-		mkTask(2, ms(25), ms(100), ms(100)),
-	}}
-	if !RMSchedulableLL(s) {
-		t.Error("U=0.75 with n=3 must pass the LL bound")
-	}
-	s.Tasks[0].WCET = ms(35) // U = 0.85 > bound
-	if RMSchedulableLL(s) {
-		t.Error("U=0.85 with n=3 must fail the LL bound")
-	}
-}
-
 func TestEDFImplicitUtilizationTest(t *testing.T) {
+	// With implicit deadlines the demand-bound test is exact at U <= 1.
 	s := &taskset.Set{Tasks: []taskset.Task{
 		mkTask(0, ms(50), ms(100), ms(100)),
 		mkTask(1, ms(50), ms(100), ms(100)),
 	}}
-	if !EDFSchedulableImplicit(s) {
-		t.Error("U=1.0 implicit EDF must be schedulable")
+	if ok, err := DemandBoundEDF(s); err != nil || !ok {
+		t.Errorf("U=1.0 implicit EDF must be schedulable (err %v)", err)
 	}
 	s.Tasks[0].WCET = ms(51)
-	if EDFSchedulableImplicit(s) {
-		t.Error("U>1 must fail")
-	}
-	s.Tasks[0].WCET = ms(10)
-	s.Tasks[0].Deadline = ms(50) // constrained: test not applicable
-	if EDFSchedulableImplicit(s) {
-		t.Error("constrained deadlines must be rejected by the implicit test")
+	if ok, err := DemandBoundEDF(s); err != nil || ok {
+		t.Errorf("U>1 must fail (err %v)", err)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Clock is the per-node clock-discipline state: a PTP-style offset and
-// drift estimator fed by two-way sync exchanges over the data plane's
+// Clock is the per-node clock-discipline state: a PTP-style offset
+// estimator fed by two-way sync exchanges over the data plane's
 // timestamped frames.
 //
 // The exchange is the classic one: the node sends a request carrying its
@@ -17,22 +17,17 @@ import (
 //	offset = ((t2 - t1) + (t3 - t4)) / 2
 //
 // (positive: the reference clock is ahead of ours). Samples are smoothed
-// with an EWMA, and consecutive smoothed samples yield a residual drift
-// rate estimate. On SimEnv the node's "local clock" is env.Now() plus a
+// with an EWMA. On SimEnv the node's "local clock" is env.Now() plus a
 // configured skew, so tests can inject a known offset and assert the
 // estimator recovers it.
 type Clock struct {
 	mu      sync.Mutex
 	samples int
-	offset  int64   // EWMA of the per-exchange offset, ns
-	drift   float64 // residual drift, ns of offset change per second
-	lastAt  int64   // local time of the previous sample, ns
-	lastOff int64
+	offset  int64 // EWMA of the per-exchange offset, ns
 }
 
-// note folds one two-way exchange into the estimate. at is the node's
-// local t4.
-func (ck *Clock) note(offset, at int64) {
+// note folds one two-way exchange into the estimate.
+func (ck *Clock) note(offset int64) {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	if ck.samples == 0 {
@@ -41,13 +36,8 @@ func (ck *Clock) note(offset, at int64) {
 		// EWMA with alpha = 1/4: jitter-resistant but still converging in
 		// a handful of rounds after a step change.
 		ck.offset += (offset - ck.offset) / 4
-		if dt := at - ck.lastAt; dt > 0 {
-			ck.drift = float64(ck.offset-ck.lastOff) / float64(dt) * float64(time.Second)
-		}
 	}
 	ck.samples++
-	ck.lastAt = at
-	ck.lastOff = ck.offset
 }
 
 // Offset returns the estimated offset to the reference node's clock:
@@ -57,14 +47,6 @@ func (ck *Clock) Offset() time.Duration {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	return time.Duration(ck.offset)
-}
-
-// Drift returns the estimated residual drift in nanoseconds of offset
-// change per second of local time (zero until two exchanges completed).
-func (ck *Clock) Drift() float64 {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	return ck.drift
 }
 
 // Samples returns the number of completed sync exchanges.

@@ -1,6 +1,6 @@
 // Package cluster distributes YASMIN across nodes: topics whose
 // publishers and subscribers live on different middleware instances,
-// carried by a broker-less datagram data plane, plus a cluster-wide
+// carried by a broker-less in-memory data plane, plus a cluster-wide
 // two-phase reconfiguration protocol and PTP-style clock discipline.
 //
 // The layering mirrors the single-node design. The data plane rides the
@@ -20,9 +20,9 @@
 // each node's full schedulability analysis while holding its admission
 // guard), and only if all prepare steps admit does it commit everywhere
 // at a single new cluster epoch; one infeasible node aborts the whole
-// transaction with a typed per-node rejection. On SimEnv all nodes share
-// one engine, so the protocol is exercised deterministically; on OSEnv
-// each node is a process and the same code runs over UDP.
+// transaction with a typed per-node rejection. All nodes live in one
+// process and MemTransport is the only data plane: on SimEnv they share
+// one engine, so the protocol is exercised deterministically.
 package cluster
 
 import (
@@ -66,9 +66,6 @@ func New() *Cluster { return &Cluster{} }
 // Epoch returns the current cluster epoch (0 until the first
 // cluster-wide reconfiguration commits).
 func (cl *Cluster) Epoch() uint64 { return cl.epoch.Load() }
-
-// Nodes returns the member nodes in id order.
-func (cl *Cluster) Nodes() []*Node { return cl.nodes }
 
 // Node returns the member with the given id.
 func (cl *Cluster) Node(id int) *Node { return cl.nodes[id] }

@@ -21,8 +21,8 @@ const (
 	FrameSyncResp
 )
 
-// Frame is the compact wire unit of the data plane: one datagram (UDP
-// transport) or one in-memory delivery (sim transport). Data frames
+// Frame is the compact wire unit of the data plane: one in-memory
+// delivery of MemTransport, the only transport. Data frames
 // carry the publisher's identity and a per-(origin,topic,pub) sequence
 // number, so receivers can enforce per-publisher FIFO under loss and
 // reordering without any retransmission protocol; the epoch stamp lets

@@ -125,25 +125,16 @@ type Node struct {
 
 	closed  atomic.Bool
 	started bool
-	// running gates ingress. A wall-clock transport's read loop is live
-	// from construction, so frames can arrive before Start has spawned the
-	// shard workers; the Store in Start pairs with the Load in ingestFrame
-	// to publish the shard-thread writes to the ingesting goroutine.
+	// running gates ingress. Another node's publisher can deliver through
+	// the shared transport before Start has spawned the shard workers; the
+	// Store in Start pairs with the Load in ingestFrame to publish the
+	// shard-thread writes to the ingesting thread.
 	running atomic.Bool
 
 	sent, received, dropped                  atomic.Uint64
 	staleSeq, staleEpoch, injected           atomic.Uint64
 	rejected, unroutable, nonInt64, overflow atomic.Uint64
 }
-
-// ID returns the node id.
-func (n *Node) ID() int { return n.id }
-
-// App returns the node's middleware instance.
-func (n *Node) App() *core.App { return n.app }
-
-// Clock returns the node's clock-discipline state.
-func (n *Node) Clock() *Clock { return &n.clock }
 
 // NowNS returns the node-local clock: environment time plus the
 // configured simulated skew.
@@ -280,18 +271,6 @@ func (n *Node) forward(r *route, pub core.TID, v any) {
 	}
 }
 
-// Ingest decodes one frame arriving from the transport and queues it on
-// the responsible ingress shard. Callable from any thread or goroutine
-// (the UDP reader, the sim transport's sending thread).
-func (n *Node) Ingest(pkt []byte) error {
-	f, err := ParseFrame(pkt)
-	if err != nil {
-		return err
-	}
-	n.ingestFrame(f)
-	return nil
-}
-
 // ingestFrame routes a decoded frame onto its shard ring.
 func (n *Node) ingestFrame(f Frame) {
 	if !n.running.Load() {
@@ -372,7 +351,7 @@ func (n *Node) deliver(c rt.Ctx, sh *shard, f *Frame) {
 	case FrameSyncResp:
 		t4 := n.NowNS()
 		offset := ((f.T2 - f.T1) + (f.SentAt - t4)) / 2
-		n.clock.note(offset, t4)
+		n.clock.note(offset)
 		return
 	}
 

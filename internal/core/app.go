@@ -162,7 +162,6 @@ type App struct {
 	vselRest  []VID
 
 	battery *platform.Battery
-	meter   *platform.EnergyMeter
 
 	rec *trace.Recorder
 	ovh *trace.Overheads
@@ -345,9 +344,6 @@ func (a *App) recordTaskError(err error) {
 // SetBattery attaches a battery model used by SelectEnergy and drained by
 // job execution.
 func (a *App) SetBattery(b *platform.Battery) { a.battery = b }
-
-// SetMeter attaches an energy meter recording per-version consumption.
-func (a *App) SetMeter(m *platform.EnergyMeter) { a.meter = m }
 
 // SetMode switches the execution mode (SelectMode); mode is a small integer
 // < 32 matched against VSelect.Modes bitmasks. Callable at runtime: the

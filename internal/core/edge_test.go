@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -140,19 +141,17 @@ func TestChannelBadIDs(t *testing.T) {
 func TestEnergyMeteringOfJobs(t *testing.T) {
 	pl := platform.OdroidXU4()
 	r := newRig(t, Config{Workers: 1, WorkerCores: []int{4}, SchedulerCore: 5}, pl)
-	meter := platform.NewEnergyMeter(nil)
-	r.app.SetMeter(meter)
+	bat, err := platform.NewBattery(10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.app.SetBattery(bat)
 	tid, _ := r.app.TaskDecl(TData{Name: "worker-task", Period: ms(10)})
 	r.app.VersionDecl(tid, spin(ms(5)), nil, VSelect{})
 	r.runMain(t, ms(100), nil)
-	total := meter.TotalMJ()
-	// 10 jobs x 5ms on a 1550mW big core ~ 77.5 mJ.
-	if total < 50 || total > 110 {
-		t.Errorf("metered %g mJ, want ~77", total)
-	}
-	per := meter.ByName()
-	if per["worker-task"] != total {
-		t.Errorf("per-task energy %v", per)
+	// 10 jobs x 5ms on a 1550mW big core = 77.5 mJ.
+	if drained := 10000 - bat.RemainingMJ(); math.Abs(drained-77.5) > 1e-6 {
+		t.Errorf("battery drained %g mJ, want 77.5", drained)
 	}
 }
 

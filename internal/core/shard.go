@@ -10,7 +10,7 @@ package core
 // analyzer via the lockrank annotations on each lock:
 //
 //	reconfigMu(1) -> App.mu(2) -> shard.mu[i](3) -> idleMu(4)
-//	              -> {Recorder, Overheads, EnergyMeter}(5) -> {Stat, Battery}(6)
+//	              -> {Recorder, Overheads}(5) -> {Stat, Battery}(6)
 //
 // All shard locks share one rank (and one analyzer identity), so no code
 // path may hold two shard locks at once: stealing and migration lock the

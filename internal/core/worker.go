@@ -545,11 +545,11 @@ func (a *App) consumeInputs(t *task) time.Duration {
 	return stamp
 }
 
-// accountEnergy drains the battery / meter for the finished job. accel is
-// the instance the job held while executing (already released by the
-// caller, so it is passed explicitly).
+// accountEnergy drains the battery for the finished job. accel is the
+// instance the job held while executing (already released by the caller,
+// so it is passed explicitly).
 func (a *App) accountEnergy(j *job, accel HID) {
-	if a.battery == nil && a.meter == nil {
+	if a.battery == nil {
 		return
 	}
 	var powerMW float64 = 1000
@@ -565,17 +565,10 @@ func (a *App) accountEnergy(j *job, accel HID) {
 			}
 		}
 	}
-	name := j.name
-	if a.meter != nil {
-		a.meter.Add(name, powerMW, j.computed)
-	} else if a.battery != nil {
-		a.battery.Drain(powerMW, j.computed)
-	}
+	a.battery.Drain(powerMW, j.computed)
 	// Explicit per-version budgets drain in addition, if declared.
-	if a.battery != nil {
-		if b := j.t.versions[j.version].props.EnergyBudget; b > 0 {
-			a.battery.DrainMJ(b)
-		}
+	if b := j.t.versions[j.version].props.EnergyBudget; b > 0 {
+		a.battery.DrainMJ(b)
 	}
 }
 

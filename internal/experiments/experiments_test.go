@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/yasmin-rt/yasmin/internal/trace"
 )
 
 func TestFig2QuickShape(t *testing.T) {
@@ -212,4 +214,19 @@ func TestFig4ContendedRegimeMultiVersionWins(t *testing.T) {
 				pol, both.TotalMissRatio, gpu.TotalMissRatio)
 		}
 	}
+}
+
+// fig2SummaryStat is the mean avg overhead and the max overhead of one
+// system.
+func fig2SummaryStat(rows []Fig2Row, system string) (avg time.Duration, max time.Duration) {
+	st := trace.NewStat(system)
+	for _, r := range rows {
+		if r.System == system {
+			st.Add(r.AvgOvh)
+			if r.MaxOvh > max {
+				max = r.MaxOvh
+			}
+		}
+	}
+	return st.Mean(), max
 }

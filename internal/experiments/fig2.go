@@ -19,7 +19,6 @@ import (
 	"github.com/yasmin-rt/yasmin/internal/rt"
 	"github.com/yasmin-rt/yasmin/internal/sim"
 	"github.com/yasmin-rt/yasmin/internal/taskset"
-	"github.com/yasmin-rt/yasmin/internal/trace"
 )
 
 // Fig2Config parameterises the overhead comparison (Section 4.1). The paper
@@ -257,18 +256,4 @@ func printSeries(w io.Writer, series []Fig2Series, xname string) error {
 		}
 	}
 	return nil
-}
-
-// fig2SummaryStat is reused by tests: mean avg overhead per system.
-func fig2SummaryStat(rows []Fig2Row, system string) (avg time.Duration, max time.Duration) {
-	st := trace.NewStat(system, false)
-	for _, r := range rows {
-		if r.System == system {
-			st.Add(r.AvgOvh)
-			if r.MaxOvh > max {
-				max = r.MaxOvh
-			}
-		}
-	}
-	return st.Mean(), max
 }

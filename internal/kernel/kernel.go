@@ -1,7 +1,7 @@
 // Package kernel models the operating-system substrates of the paper's
 // Table 2 latency comparison: Linux with the PREEMPT_RT patch set, LitmusRT
-// with the GSN-EDF plugin, LitmusRT with the P-RES (polling reservation)
-// plugin, and vanilla Linux as a baseline.
+// with the GSN-EDF plugin, and LitmusRT with the P-RES (polling
+// reservation) plugin.
 //
 // A kernel model is a sampler for the latency between a thread's nominal
 // wake-up instant (timer expiry or futex wake) and the instant it actually
@@ -18,9 +18,6 @@
 //     boundaries: latency concentrates slightly above the reservation
 //     period (~1 ms), almost load-independent — the paper measures
 //     <988, 1206, 1027> µs.
-//   - Vanilla Linux (CFS): no latency guarantee at all; wake-ups contend
-//     with fair-share scheduling, with tails in the tens of milliseconds
-//     under load.
 //
 // All sampling is driven by the caller-provided deterministic RNG, so
 // simulations remain reproducible.
@@ -152,27 +149,6 @@ func (k *LitmusPRES) Latency(rng *rand.Rand, reason rt.WakeReason) time.Duration
 	early := time.Duration(rng.Int63n(int64(14 * time.Microsecond)))
 	jitter := expSample(rng, 25*time.Microsecond+time.Duration(k.Load*float64(30*time.Microsecond)))
 	return clamp(res-early+jitter, res-20*time.Microsecond, res+250*time.Microsecond)
-}
-
-// Vanilla models an unpatched Linux CFS kernel: no latency bound at all.
-type Vanilla struct {
-	Load float64
-}
-
-// Name returns the kernel identification string.
-func (k *Vanilla) Name() string { return "Linux (vanilla CFS)" }
-
-// Latency has a small floor but a heavy, load-dependent tail: fair-share
-// scheduling may delay an RT-ish thread by whole scheduling epochs.
-func (k *Vanilla) Latency(rng *rand.Rand, reason rt.WakeReason) time.Duration {
-	floor := 5 * time.Microsecond
-	mean := 15*time.Microsecond + time.Duration(k.Load*float64(500*time.Microsecond))
-	lat := floor + expSample(rng, mean)
-	if rng.Float64() < 0.10*k.Load {
-		// Landed behind a full CFS timeslice (or several).
-		lat += time.Duration(1+rng.Intn(4)) * 6 * time.Millisecond
-	}
-	return clamp(lat, 3*time.Microsecond, 50*time.Millisecond)
 }
 
 // Ideal is the zero-latency kernel used by unit tests and idealised

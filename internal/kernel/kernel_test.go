@@ -129,3 +129,25 @@ func TestNames(t *testing.T) {
 		}
 	}
 }
+
+// Vanilla models an unpatched Linux CFS kernel: no latency bound at all.
+// The tests use it as the heavy-tailed reference; no experiment runs it.
+type Vanilla struct {
+	Load float64
+}
+
+// Name returns the kernel identification string.
+func (k *Vanilla) Name() string { return "Linux (vanilla CFS)" }
+
+// Latency has a small floor but a heavy, load-dependent tail: fair-share
+// scheduling may delay an RT-ish thread by whole scheduling epochs.
+func (k *Vanilla) Latency(rng *rand.Rand, reason rt.WakeReason) time.Duration {
+	floor := 5 * time.Microsecond
+	mean := 15*time.Microsecond + time.Duration(k.Load*float64(500*time.Microsecond))
+	lat := floor + expSample(rng, mean)
+	if rng.Float64() < 0.10*k.Load {
+		// Landed behind a full CFS timeslice (or several).
+		lat += time.Duration(1+rng.Intn(4)) * 6 * time.Millisecond
+	}
+	return clamp(lat, 3*time.Microsecond, 50*time.Millisecond)
+}

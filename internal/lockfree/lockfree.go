@@ -28,8 +28,5 @@ func (l *TASLock) Lock() {
 	}
 }
 
-// TryLock attempts a single test-and-set.
-func (l *TASLock) TryLock() bool { return l.v.CompareAndSwap(0, 1) }
-
 // Unlock releases the lock.
 func (l *TASLock) Unlock() { l.v.Store(0) }

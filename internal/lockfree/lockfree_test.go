@@ -33,17 +33,6 @@ func TestTASLockMutualExclusion(t *testing.T) {
 	exerciseLock(t, 8, 2000, l.Lock, l.Unlock)
 }
 
-func TestTryLocks(t *testing.T) {
-	var tas TASLock
-	if !tas.TryLock() {
-		t.Fatal("TryLock on free TASLock failed")
-	}
-	if tas.TryLock() {
-		t.Fatal("TryLock on held TASLock succeeded")
-	}
-	tas.Unlock()
-}
-
 func TestRingCapacityValidation(t *testing.T) {
 	if _, err := NewMPSCRing[int](0); err == nil {
 		t.Error("want error for zero capacity")

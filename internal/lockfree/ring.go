@@ -13,7 +13,7 @@ import (
 // plain load/store pair. Per-producer FIFO order is preserved: a producer's
 // ticket order is its program order.
 type MPSCRing[T any] struct {
-	slots []mpmcSlot[T]
+	slots []slot[T]
 	mask  uint64
 	enq   atomic.Uint64
 	deq   atomic.Uint64 // written by the single consumer only
@@ -28,7 +28,7 @@ func NewMPSCRing[T any](capacity int) (*MPSCRing[T], error) {
 	for n < capacity {
 		n <<= 1
 	}
-	q := &MPSCRing[T]{slots: make([]mpmcSlot[T], n), mask: uint64(n - 1)}
+	q := &MPSCRing[T]{slots: make([]slot[T], n), mask: uint64(n - 1)}
 	for i := range q.slots {
 		q.slots[i].seq.Store(uint64(i))
 	}
@@ -89,9 +89,9 @@ func (q *MPSCRing[T]) Pop() (v T, ok bool) {
 	return v, true
 }
 
-// mpmcSlot is one ring cell: seq says whose turn the slot is (Vyukov's
+// slot is one ring cell: seq says whose turn the slot is (Vyukov's
 // per-slot sequence number), val holds the element.
-type mpmcSlot[T any] struct {
+type slot[T any] struct {
 	seq atomic.Uint64
 	val T
 }

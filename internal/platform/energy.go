@@ -82,49 +82,3 @@ func (b *Battery) SetLevel(pct float64) error {
 	b.levelMJ = b.capacityMJ * pct / 100
 	return nil
 }
-
-// EnergyMeter accumulates consumed energy per consumer name, used to report
-// per-version energy in experiments. Safe for concurrent use.
-type EnergyMeter struct {
-	//yasmin:lockrank 5
-	mu       sync.Mutex
-	perName  map[string]float64
-	totalMJ  float64
-	draining *Battery // optional: forward drains to a battery
-}
-
-// NewEnergyMeter creates an empty meter. If battery is non-nil, every Add is
-// also drained from it.
-func NewEnergyMeter(battery *Battery) *EnergyMeter {
-	return &EnergyMeter{perName: make(map[string]float64), draining: battery}
-}
-
-// Add records that consumer name used powerMW for d.
-func (m *EnergyMeter) Add(name string, powerMW float64, d time.Duration) {
-	mj := powerMW * d.Seconds()
-	m.mu.Lock()
-	m.perName[name] += mj
-	m.totalMJ += mj
-	m.mu.Unlock()
-	if m.draining != nil {
-		m.draining.DrainMJ(mj)
-	}
-}
-
-// TotalMJ returns the total energy recorded.
-func (m *EnergyMeter) TotalMJ() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.totalMJ
-}
-
-// ByName returns a copy of the per-consumer totals.
-func (m *EnergyMeter) ByName() map[string]float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]float64, len(m.perName))
-	for k, v := range m.perName {
-		out[k] = v
-	}
-	return out
-}

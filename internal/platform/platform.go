@@ -48,14 +48,6 @@ type Core struct {
 	PowerIdle   float64
 }
 
-// Scale converts a nominal duration into the core-local duration.
-func (c *Core) Scale(d time.Duration) time.Duration {
-	if c.Speed == 1.0 || c.Speed <= 0 {
-		return d
-	}
-	return time.Duration(float64(d) / c.Speed)
-}
-
 // Accel describes a hardware accelerator (GPU, crypto engine, FPGA region).
 // Accelerators are scarce: exactly one task version can hold one at a time,
 // which is the contention that motivates multi-version tasks (Section 3.2).

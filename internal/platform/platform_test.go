@@ -50,27 +50,6 @@ func TestTK1Topology(t *testing.T) {
 	}
 }
 
-func TestCoreScale(t *testing.T) {
-	tests := []struct {
-		name  string
-		speed float64
-		in    time.Duration
-		want  time.Duration
-	}{
-		{"unit speed", 1.0, 100 * time.Millisecond, 100 * time.Millisecond},
-		{"half speed doubles", 0.5, 100 * time.Millisecond, 200 * time.Millisecond},
-		{"double speed halves", 2.0, 100 * time.Millisecond, 50 * time.Millisecond},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			c := Core{Speed: tc.speed}
-			if got := c.Scale(tc.in); got != tc.want {
-				t.Errorf("Scale(%v) = %v, want %v", tc.in, got, tc.want)
-			}
-		})
-	}
-}
-
 func TestCoreLookupErrors(t *testing.T) {
 	pl := Generic(2)
 	if _, err := pl.Core(-1); err == nil {
@@ -137,34 +116,4 @@ func TestBattery(t *testing.T) {
 	if _, err := NewBattery(0); err == nil {
 		t.Error("want error for zero capacity")
 	}
-}
-
-func TestEnergyMeter(t *testing.T) {
-	b, _ := NewBattery(10000)
-	m := NewEnergyMeter(b)
-	m.Add("detect/gpu", 4000, 130*time.Millisecond)
-	m.Add("detect/gpu", 4000, 130*time.Millisecond)
-	m.Add("encode/aes", 1700, 100*time.Millisecond)
-	per := m.ByName()
-	if len(per) != 2 {
-		t.Fatalf("ByName has %d entries, want 2", len(per))
-	}
-	wantGPU := 4000 * 0.130 * 2
-	if got := per["detect/gpu"]; !approx(got, wantGPU) {
-		t.Errorf("detect/gpu = %g, want %g", got, wantGPU)
-	}
-	if got := m.TotalMJ(); !approx(got, wantGPU+170) {
-		t.Errorf("total = %g, want %g", got, wantGPU+170)
-	}
-	if got := b.RemainingMJ(); !approx(got, 10000-m.TotalMJ()) {
-		t.Errorf("battery %g, want %g", got, 10000-m.TotalMJ())
-	}
-}
-
-func approx(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d < 1e-6
 }

@@ -196,25 +196,6 @@ func (p *Packet) Marshal() []byte {
 	return append(buf, p.Image...)
 }
 
-// UnmarshalPacket parses a marshalled packet (plaintext form).
-func UnmarshalPacket(b []byte) (*Packet, error) {
-	if len(b) < 24 {
-		return nil, fmt.Errorf("sar: packet too short (%d)", len(b))
-	}
-	p := &Packet{
-		FrameSeq: int(binary.LittleEndian.Uint32(b[0:])),
-		Boats:    int(binary.LittleEndian.Uint32(b[4:])),
-		Pos: GlobalPos{
-			LatE7: int32(binary.LittleEndian.Uint32(b[8:])),
-			LonE7: int32(binary.LittleEndian.Uint32(b[12:])),
-			AltMM: int32(binary.LittleEndian.Uint32(b[16:])),
-		},
-		SpeedMMS: int(binary.LittleEndian.Uint32(b[20:])),
-	}
-	p.Image = append(p.Image, b[24:]...)
-	return p, nil
-}
-
 // EncryptAES encrypts data with AES-128-CTR — the real cryptographic work
 // behind the "Encode" task's AES version (its WCET in Fig. 3b covers a full
 // frame). The 16-byte IV is prepended.
@@ -229,19 +210,5 @@ func EncryptAES(key, iv, data []byte) ([]byte, error) {
 	out := make([]byte, len(iv)+len(data))
 	copy(out, iv)
 	cipher.NewCTR(block, iv).XORKeyStream(out[len(iv):], data)
-	return out, nil
-}
-
-// DecryptAES reverses EncryptAES.
-func DecryptAES(key, payload []byte) ([]byte, error) {
-	if len(payload) < aes.BlockSize {
-		return nil, fmt.Errorf("sar: ciphertext too short")
-	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("sar: %w", err)
-	}
-	out := make([]byte, len(payload)-aes.BlockSize)
-	cipher.NewCTR(block, payload[:aes.BlockSize]).XORKeyStream(out, payload[aes.BlockSize:])
 	return out, nil
 }

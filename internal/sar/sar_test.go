@@ -2,6 +2,10 @@ package sar
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"encoding/binary"
+	"fmt"
 	"testing"
 	"time"
 
@@ -327,4 +331,37 @@ func TestSARFCHandlerKeepsUp(t *testing.T) {
 	if ratio > 0.02 {
 		t.Errorf("fc miss ratio %.3f with both versions, want ~0", ratio)
 	}
+}
+
+// UnmarshalPacket parses a marshalled packet (plaintext form).
+func UnmarshalPacket(b []byte) (*Packet, error) {
+	if len(b) < 24 {
+		return nil, fmt.Errorf("sar: packet too short (%d)", len(b))
+	}
+	p := &Packet{
+		FrameSeq: int(binary.LittleEndian.Uint32(b[0:])),
+		Boats:    int(binary.LittleEndian.Uint32(b[4:])),
+		Pos: GlobalPos{
+			LatE7: int32(binary.LittleEndian.Uint32(b[8:])),
+			LonE7: int32(binary.LittleEndian.Uint32(b[12:])),
+			AltMM: int32(binary.LittleEndian.Uint32(b[16:])),
+		},
+		SpeedMMS: int(binary.LittleEndian.Uint32(b[20:])),
+	}
+	p.Image = append(p.Image, b[24:]...)
+	return p, nil
+}
+
+// DecryptAES reverses EncryptAES.
+func DecryptAES(key, payload []byte) ([]byte, error) {
+	if len(payload) < aes.BlockSize {
+		return nil, fmt.Errorf("sar: ciphertext too short")
+	}
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, fmt.Errorf("sar: %w", err)
+	}
+	out := make([]byte, len(payload)-aes.BlockSize)
+	cipher.NewCTR(block, payload[:aes.BlockSize]).XORKeyStream(out, payload[aes.BlockSize:])
+	return out, nil
 }

@@ -197,13 +197,6 @@ func (ck *Checker) violationf(format string, args ...any) {
 	ck.mu.Unlock()
 }
 
-// Violations returns the structured violations recorded so far.
-func (ck *Checker) Violations() []Violation {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	return append([]Violation(nil), ck.violations...)
-}
-
 // addTopic registers an instrumented topic and returns its check index.
 func (ck *Checker) addTopic(name string, policy core.OverflowPolicy, capacity, pubs, subs int) int {
 	tc := &topicCheck{

@@ -92,7 +92,7 @@ func TestCheckerCatchesSeededFIFOViolation(t *testing.T) {
 	for _, tc := range cases {
 		ck, ti := feedChecker(tc.policy)
 		tc.feed(ck, ti)
-		vs := ck.Violations()
+		vs := ck.violations
 		if len(vs) == 0 {
 			t.Errorf("%s: checker stayed silent", tc.label)
 			continue

@@ -22,7 +22,7 @@ func TestInterruptDoesNotCancelSameInstantWake(t *testing.T) {
 		p.Sleep(time.Millisecond)
 		mu.Unlock(p) // grants the mutex to the waiter at t=1ms
 		// Interrupt the waiter at the same instant its grant is pending.
-		p.Interrupt(waiter)
+		p.eng.Interrupt(waiter)
 	})
 	_ = holder
 	waiter = e.Spawn("waiter", func(p *Proc) {
@@ -44,7 +44,7 @@ func TestInterruptDoesNotCancelSameInstantWake(t *testing.T) {
 	})
 	e.Spawn("closer", func(p *Proc) {
 		p.Sleep(10 * time.Millisecond)
-		p.Interrupt(waiter)
+		p.eng.Interrupt(waiter)
 	})
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestWaitQSignalWithConcurrentInterrupt(t *testing.T) {
 		p.Sleep(time.Millisecond)
 		// Interrupt the parked contender, then release: the unlock's
 		// Signal sees a waiter that is already waking via the interrupt.
-		p.Interrupt(contender)
+		p.eng.Interrupt(contender)
 		mu.Unlock(p)
 	})
 	contender = e.Spawn("contender", func(p *Proc) {
@@ -91,7 +91,7 @@ func TestWaitQSignalWithConcurrentInterrupt(t *testing.T) {
 	})
 	e.Spawn("closer", func(p *Proc) {
 		p.Sleep(10 * time.Millisecond)
-		p.Interrupt(contender)
+		p.eng.Interrupt(contender)
 	})
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestInterruptStillCutsFutureWake(t *testing.T) {
 	})
 	e.Spawn("sig", func(p *Proc) {
 		p.Sleep(2 * time.Millisecond)
-		p.Interrupt(victim)
+		p.eng.Interrupt(victim)
 	})
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -150,15 +150,14 @@ func TestEngineCallbackAndProcInterleaving(t *testing.T) {
 }
 
 // TestMaskedSectionAccumulatesInterrupts: multiple interrupts during a
-// masked section coalesce as pending and are delivered one per wait.
+// Charge (the masked section) coalesce as pending and are delivered one per
+// wait.
 func TestMaskedSectionAccumulatesInterrupts(t *testing.T) {
 	e := NewEngine(1)
 	delivered := 0
 	var target *Proc
 	target = e.Spawn("t", func(p *Proc) {
-		p.MaskInterrupts()
-		p.Sleep(5 * time.Millisecond)
-		p.UnmaskInterrupts()
+		p.Charge(5 * time.Millisecond)
 		for i := 0; i < 3; i++ {
 			if intr, _ := p.Sleep(time.Millisecond); intr {
 				delivered++
@@ -167,9 +166,9 @@ func TestMaskedSectionAccumulatesInterrupts(t *testing.T) {
 	})
 	e.Spawn("sig", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		p.Interrupt(target)
-		p.Interrupt(target)
-		p.Interrupt(target)
+		p.eng.Interrupt(target)
+		p.eng.Interrupt(target)
+		p.eng.Interrupt(target)
 	})
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatal(err)

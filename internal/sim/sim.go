@@ -107,7 +107,6 @@ type Engine struct {
 	events  eventHeap
 	seq     uint64
 	rng     *rand.Rand
-	nprocs  int // processes ever spawned; the next Proc.id
 	live    int
 	failure error
 	nsteps  uint64
@@ -256,24 +255,16 @@ type Proc struct {
 	wake       *event                  // the sole event allowed to resume this process
 	next       func() (struct{}, bool) // engine -> process: resume the coroutine
 	yield      func(struct{}) bool     // process -> engine: "I am blocked again"
-	id         int32                   // creation index within the engine
 	interrupts int32                   // pending interrupt count
 	state      ProcState
 	kind       resumeKind // how the engine resumed the process, read by block
-	intrMasked bool
-	unparked   bool // sticky unpark token
+	intrMasked bool       // set while Charge runs: interrupts stay pending
+	unparked   bool       // sticky unpark token
 	done       bool
 }
 
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
-
-// ID returns the process's creation index within its engine.
-func (p *Proc) ID() int { return int(p.id) }
-
-// State returns the current process state. Only meaningful between engine
-// steps (e.g. from engine callbacks or other processes).
-func (p *Proc) State() ProcState { return p.state }
 
 // Done reports whether the process function has returned.
 func (p *Proc) Done() bool { return p.done }
@@ -288,10 +279,6 @@ var ErrStepLimit = errors.New("sim: step limit exceeded")
 // events are pending (every process is parked forever).
 var ErrDeadlock = errors.New("sim: deadlock: live processes but no pending events")
 
-// Spawn creates a process named name running fn, starting at the current
-// instant (process-side variant).
-func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc { return p.eng.Spawn(name, fn) }
-
 // Spawn creates a process starting at the current instant.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(e.now, name, fn)
@@ -303,9 +290,7 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 		eng:   e,
 		name:  name,
 		state: StateNew,
-		id:    int32(e.nprocs),
 	}
-	e.nprocs++
 	e.live++
 	// The coroutine is created here rather than on the first step so that
 	// its allocations are paid at spawn time. The closure captures only p
@@ -442,15 +427,6 @@ func (p *Proc) checkPending() bool {
 	return false
 }
 
-// MaskInterrupts suppresses interrupt delivery; interrupts stay pending.
-func (p *Proc) MaskInterrupts() { p.intrMasked = true }
-
-// UnmaskInterrupts re-enables interrupt delivery.
-func (p *Proc) UnmaskInterrupts() { p.intrMasked = false }
-
-// InterruptsPending reports whether an interrupt is queued on p.
-func (p *Proc) InterruptsPending() bool { return p.interrupts > 0 }
-
 // Sleep suspends the process for d of virtual time, modelling an idle wait.
 // It returns interrupted=true if the sleep was cut short by an interrupt,
 // with the remaining duration.
@@ -495,10 +471,9 @@ func (p *Proc) Charge(d time.Duration) {
 		e.now = t
 		return
 	}
-	masked := p.intrMasked
 	p.intrMasked = true
 	p.sleepUntil(t, StateComputing)
-	p.intrMasked = masked
+	p.intrMasked = false
 }
 
 func (p *Proc) sleepUntil(t Time, st ProcState) (interrupted bool, remaining time.Duration) {
@@ -624,6 +599,3 @@ func (e *Engine) unparkNoToken(target *Proc) {
 		target.wake = e.schedule(e.now, target, resumeNormal, nil)
 	}
 }
-
-// Interrupt delivers an interrupt to target (process-side variant).
-func (p *Proc) Interrupt(target *Proc) { p.eng.Interrupt(target) }

@@ -142,7 +142,7 @@ func TestInterruptCutsSleep(t *testing.T) {
 	})
 	e.Spawn("killer", func(p *Proc) {
 		p.Sleep(30 * time.Millisecond)
-		p.Interrupt(sleeper)
+		p.eng.Interrupt(sleeper)
 	})
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestInterruptCutsCompute(t *testing.T) {
 	})
 	e.Spawn("preempter", func(p *Proc) {
 		p.Sleep(4 * time.Millisecond)
-		p.Interrupt(victim)
+		p.eng.Interrupt(victim)
 	})
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestChargeIsNotInterruptible(t *testing.T) {
 	})
 	e.Spawn("sig", func(p *Proc) {
 		p.Sleep(3 * time.Millisecond)
-		p.Interrupt(victim)
+		p.eng.Interrupt(victim)
 	})
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -334,7 +334,7 @@ func TestFinishedProcsAreNotRetained(t *testing.T) {
 	// One child at a time, so that at most two coroutines are alive.
 	e.Spawn("spawner", func(p *Proc) {
 		for ; spawned < n; spawned++ {
-			p.Spawn("child", func(c *Proc) { c.Yield() })
+			p.eng.Spawn("child", func(c *Proc) { c.Yield() })
 			p.Sleep(time.Microsecond)
 		}
 	})
@@ -377,7 +377,7 @@ func TestSpawnFromProcess(t *testing.T) {
 	var childAt Time
 	e.Spawn("parent", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		p.Spawn("child", func(c *Proc) {
+		p.eng.Spawn("child", func(c *Proc) {
 			c.Sleep(time.Millisecond)
 			childAt = c.Now()
 		})
@@ -450,7 +450,7 @@ func TestWaitQSignalOrder(t *testing.T) {
 	var order []string
 	for i := 0; i < 3; i++ {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Sleep(time.Duration(p.ID()) * time.Millisecond)
+			p.Sleep(time.Duration(i) * time.Millisecond)
 			q.Wait(p)
 			order = append(order, p.Name())
 		})
@@ -482,7 +482,7 @@ func TestInterruptParked(t *testing.T) {
 	})
 	e.Spawn("sig", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		p.Interrupt(target)
+		p.eng.Interrupt(target)
 	})
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -494,26 +494,27 @@ func TestInterruptParked(t *testing.T) {
 
 func TestMaskedInterruptStaysPending(t *testing.T) {
 	e := NewEngine(1)
-	var first, second bool
+	var charged time.Duration
+	var second bool
 	var target *Proc
-	target = e.Spawn("masked", func(p *Proc) {
-		p.MaskInterrupts()
-		first, _ = p.Sleep(10 * time.Millisecond) // must not be interrupted
-		p.UnmaskInterrupts()
+	target = e.Spawn("charging", func(p *Proc) {
+		start := p.Now()
+		p.Charge(10 * time.Millisecond) // must not be cut short
+		charged = p.Now().Sub(start)
 		second, _ = p.Sleep(10 * time.Millisecond) // pending intr fires here
 	})
 	e.Spawn("sig", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		p.Interrupt(target)
+		p.eng.Interrupt(target)
 	})
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if first {
-		t.Error("masked sleep was interrupted")
+	if charged != 10*time.Millisecond {
+		t.Errorf("charge lasted %v, want 10ms: the interrupt cut it short", charged)
 	}
 	if !second {
-		t.Error("pending interrupt was lost after unmask")
+		t.Error("interrupt pending after the charge was lost")
 	}
 }
 

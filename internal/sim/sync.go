@@ -45,14 +45,6 @@ func (q *WaitQ) Signal(e *Engine) *Proc {
 	return p
 }
 
-// Broadcast unparks all waiting processes.
-func (q *WaitQ) Broadcast(e *Engine) {
-	for _, p := range q.ps {
-		e.unparkNoToken(p)
-	}
-	q.ps = q.ps[:0]
-}
-
 // Mutex is a simulated sleeping mutex with FIFO handoff. Lock/Unlock must be
 // called from process context. It models a kernel futex: blocked processes
 // are descheduled (idle) while waiting.
@@ -137,19 +129,6 @@ func (m *SpinMutex) Lock(p *Proc) (spun time.Duration) {
 	m.acquires++
 	p.Charge(m.acquireCost())
 	return p.Now().Sub(start)
-}
-
-// TryLock attempts a single test-and-set.
-func (m *SpinMutex) TryLock(p *Proc) bool {
-	if m.owner != nil {
-		m.spins++
-		p.Charge(m.retryCost())
-		return false
-	}
-	m.owner = p
-	m.acquires++
-	p.Charge(m.acquireCost())
-	return true
 }
 
 // Unlock releases the spinlock.

@@ -24,9 +24,6 @@ type Config struct {
 // stress-ng -C 8 -c 8 -T 8 -y 8.
 func PaperConfig() Config { return Config{Cache: 8, CPU: 8, Timer: 8, Yield: 8} }
 
-// Total returns the number of stressor processes.
-func (c Config) Total() int { return c.Cache + c.CPU + c.Timer + c.Yield }
-
 // Load converts the stressor mix into a saturating pressure factor in
 // [0,1]. Cache and timer stressors perturb the wake-up path the most
 // (coherence misses in the scheduler, timer-IRQ storms); CPU and yield

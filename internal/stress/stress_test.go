@@ -10,9 +10,6 @@ func TestPaperConfig(t *testing.T) {
 	if c.Cache != 8 || c.CPU != 8 || c.Timer != 8 || c.Yield != 8 {
 		t.Errorf("paper config = %+v", c)
 	}
-	if c.Total() != 32 {
-		t.Errorf("total = %d, want 32", c.Total())
-	}
 	if got := c.String(); !strings.Contains(got, "-C 8 -c 8 -T 8 -y 8") {
 		t.Errorf("String() = %q", got)
 	}

@@ -13,29 +13,6 @@ import (
 	"time"
 )
 
-// DeadlineScheme classifies the relation between deadline and period.
-type DeadlineScheme int
-
-// Deadline schemes (Section 2).
-const (
-	ImplicitDeadline    DeadlineScheme = iota + 1 // D = T
-	ConstrainedDeadline                           // D <= T
-	ArbitraryDeadline                             // no relation
-)
-
-func (s DeadlineScheme) String() string {
-	switch s {
-	case ImplicitDeadline:
-		return "implicit"
-	case ConstrainedDeadline:
-		return "constrained"
-	case ArbitraryDeadline:
-		return "arbitrary"
-	default:
-		return fmt.Sprintf("DeadlineScheme(%d)", int(s))
-	}
-}
-
 // Task is a descriptive sporadic/periodic task. WCET is the worst-case
 // execution time of its (single, for analysis purposes) implementation; the
 // middleware's multi-version runtime model lives in internal/core.
@@ -66,17 +43,6 @@ type AccelUse struct {
 	CS time.Duration `json:"cs"`
 	// Count is the pool's instance count (0 reads as 1).
 	Count int `json:"count,omitempty"`
-}
-
-// AccelOn returns the task's worst-case critical section on the named
-// pool (zero when the task does not use it).
-func (t *Task) AccelOn(pool string) time.Duration {
-	for i := range t.Accels {
-		if t.Accels[i].Pool == pool {
-			return t.Accels[i].CS
-		}
-	}
-	return 0
 }
 
 // Utilization returns C/T.
@@ -114,18 +80,6 @@ func (t *Task) Validate() error {
 		return fmt.Errorf("task %d (%s): negative offset %v", t.ID, t.Name, t.Offset)
 	}
 	return nil
-}
-
-// Scheme returns the deadline scheme of the task.
-func (t *Task) Scheme() DeadlineScheme {
-	switch {
-	case t.Deadline == t.Period:
-		return ImplicitDeadline
-	case t.Deadline < t.Period:
-		return ConstrainedDeadline
-	default:
-		return ArbitraryDeadline
-	}
 }
 
 // Set is an ordered collection of tasks.

@@ -2,6 +2,7 @@ package taskset
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -133,5 +134,40 @@ func TestReadJSONRejectsInvalid(t *testing.T) {
 	bad := bytes.NewBufferString(`{"tasks":[{"id":0,"period":0,"deadline":1,"wcet":1}]}`)
 	if _, err := ReadJSON(bad); err == nil {
 		t.Error("want error for invalid set")
+	}
+}
+
+// DeadlineScheme classifies the relation between deadline and period.
+type DeadlineScheme int
+
+// Deadline schemes (Section 2).
+const (
+	ImplicitDeadline    DeadlineScheme = iota + 1 // D = T
+	ConstrainedDeadline                           // D <= T
+	ArbitraryDeadline                             // no relation
+)
+
+func (s DeadlineScheme) String() string {
+	switch s {
+	case ImplicitDeadline:
+		return "implicit"
+	case ConstrainedDeadline:
+		return "constrained"
+	case ArbitraryDeadline:
+		return "arbitrary"
+	default:
+		return fmt.Sprintf("DeadlineScheme(%d)", int(s))
+	}
+}
+
+// Scheme returns the deadline scheme of the task.
+func (t *Task) Scheme() DeadlineScheme {
+	switch {
+	case t.Deadline == t.Period:
+		return ImplicitDeadline
+	case t.Deadline < t.Period:
+		return ConstrainedDeadline
+	default:
+		return ArbitraryDeadline
 	}
 }

@@ -27,9 +27,6 @@ func NewFileSink(path string) (*FileSink, error) {
 	return &FileSink{f: f, path: path}, nil
 }
 
-// Path returns the file path the sink writes to.
-func (s *FileSink) Path() string { return s.path }
-
 // WriteBatch encodes the batch into one buffer and writes it with a single
 // call.
 func (s *FileSink) WriteBatch(batch []Event) error {
@@ -85,22 +82,6 @@ func (s *MemorySink) Finish(st Stats) error {
 	s.stats, s.done = st, true
 	s.mu.Unlock()
 	return nil
-}
-
-// Events returns a copy of everything received so far.
-func (s *MemorySink) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Event, len(s.events))
-	copy(out, s.events)
-	return out
-}
-
-// Summary returns the trailer counters and whether Finish ran.
-func (s *MemorySink) Summary() (Stats, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats, s.done
 }
 
 // Stream builds a replay Stream from the retained events (the in-memory

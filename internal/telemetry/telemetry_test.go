@@ -111,6 +111,14 @@ type gatedSink struct {
 
 func newGatedSink() *gatedSink { return &gatedSink{release: make(chan struct{})} }
 
+// received counts the events s holds, under its lock: the pipeline's
+// writer may still be adding to them.
+func received(s *MemorySink) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.events)
+}
+
 func (s *gatedSink) WriteBatch(batch []Event) error {
 	<-s.release
 	s.mu.Lock()
@@ -232,7 +240,7 @@ func TestAgeFlushTrigger(t *testing.T) {
 	defer p.Close()
 	p.Publish(Event{Kind: KindRetire, Retire: trace.RetireEvent{Task: "x"}})
 	deadline := time.Now().Add(2 * time.Second)
-	for len(sink.Events()) == 0 {
+	for received(sink) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("age trigger never flushed the partial batch")
 		}

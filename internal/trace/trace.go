@@ -14,25 +14,21 @@ import (
 	"time"
 )
 
-// Stat is an online summary of duration samples: count, min, max, mean, and
-// optionally the full sample set for percentiles. The zero value is ready to
-// use (unbounded sample retention disabled). Safe for concurrent use.
+// Stat is an online summary of duration samples: count, min, max and mean.
+// The zero value is ready to use. Safe for concurrent use.
 type Stat struct {
 	//yasmin:lockrank 6
-	mu      sync.Mutex
-	name    string
-	count   int64
-	sum     time.Duration
-	min     time.Duration
-	max     time.Duration
-	samples []time.Duration
-	keep    bool
+	mu    sync.Mutex
+	name  string
+	count int64
+	sum   time.Duration
+	min   time.Duration
+	max   time.Duration
 }
 
-// NewStat creates a named stat. If keepSamples is true every sample is
-// retained for percentile queries (capacity grows as needed).
-func NewStat(name string, keepSamples bool) *Stat {
-	return &Stat{name: name, keep: keepSamples}
+// NewStat creates a named stat.
+func NewStat(name string) *Stat {
+	return &Stat{name: name}
 }
 
 // Name returns the stat's label.
@@ -50,9 +46,6 @@ func (s *Stat) Add(d time.Duration) {
 	}
 	s.count++
 	s.sum += d
-	if s.keep {
-		s.samples = append(s.samples, d)
-	}
 }
 
 // Count returns the number of samples.
@@ -60,13 +53,6 @@ func (s *Stat) Count() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.count
-}
-
-// Min returns the smallest sample (0 if empty).
-func (s *Stat) Min() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.min
 }
 
 // Max returns the largest sample (0 if empty).
@@ -84,30 +70,6 @@ func (s *Stat) Mean() time.Duration {
 		return 0
 	}
 	return s.sum / time.Duration(s.count)
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100) of retained samples.
-// It returns an error when samples were not retained or p is out of range.
-func (s *Stat) Percentile(p float64) (time.Duration, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.keep {
-		return 0, fmt.Errorf("trace: stat %q does not retain samples", s.name)
-	}
-	if p <= 0 || p > 100 {
-		return 0, fmt.Errorf("trace: percentile %g out of (0,100]", p)
-	}
-	if len(s.samples) == 0 {
-		return 0, nil
-	}
-	sorted := make([]time.Duration, len(s.samples))
-	copy(sorted, s.samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(float64(len(sorted))*p/100) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx], nil
 }
 
 // Summary returns the paper-style "<min, max, avg>" triple.
@@ -301,7 +263,7 @@ func (r *Recorder) Record(j JobRecord) {
 	if ts == nil {
 		ts = &TaskStats{
 			Task:     j.Task,
-			Response: NewStat(j.Task+"/response", false),
+			Response: NewStat(j.Task + "/response"),
 			Versions: make(map[int]int64),
 		}
 		r.perTask[j.Task] = ts
@@ -547,7 +509,7 @@ type Overheads struct {
 // NewOverheads creates an empty overhead aggregate.
 func NewOverheads() *Overheads {
 	return &Overheads{
-		all:    NewStat("overhead", false),
+		all:    NewStat("overhead"),
 		byKind: make(map[OverheadKind]*Stat),
 	}
 }
@@ -557,7 +519,7 @@ func (o *Overheads) Add(k OverheadKind, d time.Duration) {
 	o.mu.Lock()
 	st := o.byKind[k]
 	if st == nil {
-		st = NewStat(k.String(), false)
+		st = NewStat(k.String())
 		o.byKind[k] = st
 	}
 	o.mu.Unlock()
@@ -573,18 +535,6 @@ func (o *Overheads) Kind(k OverheadKind) *Stat {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.byKind[k]
-}
-
-// Kinds returns the kinds that have samples, in ascending order.
-func (o *Overheads) Kinds() []OverheadKind {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	ks := make([]OverheadKind, 0, len(o.byKind))
-	for k := range o.byKind {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }
 
 // SchedStats is the sharded scheduler core's counter snapshot: work-stealing

@@ -369,8 +369,8 @@ var (
 	NewBattery = platform.NewBattery
 )
 
-// KernelModel is a kernel substrate model (vanilla Linux, PREEMPT_RT,
-// Xenomai, ...) for Table 2-style latency studies.
+// KernelModel is a kernel substrate model (PREEMPT_RT, LitmusRT GSN-EDF
+// or P-RES, ...) for Table 2-style latency studies.
 type KernelModel = kernel.Model
 
 // Kernel model constructors.
