@@ -399,9 +399,8 @@ func printSummary(rep *scenario.Report) {
 	fmt.Printf("  data plane %d published, %d delivered\n", rep.Published, rep.Delivered)
 	fmt.Printf("  reconfig   %d epochs, %d retirements, %d admission rejections\n",
 		rep.Epochs, rep.Retires, rep.Rejections)
-	fmt.Printf("  scheduler  %d steals (%d misses), %d migrations, %d idle wakes, %d signals (%d deduped), %d view publishes\n",
-		rep.Sched.Steals, rep.Sched.StealMisses, rep.Sched.Migrations, rep.Sched.IdleWakes,
-		rep.Sched.Signals, rep.Sched.SignalsDeduped, rep.Sched.ViewPublishes)
+	fmt.Printf("  scheduler  %d idle wakes, %d signals (%d deduped), %d view publishes\n",
+		rep.Sched.IdleWakes, rep.Sched.Signals, rep.Sched.SignalsDeduped, rep.Sched.ViewPublishes)
 	for _, n := range rep.Nodes {
 		fmt.Printf("  node %-5d %d tasks, %d jobs, %d misses; frames %d sent / %d recv / %d dropped; clock offset %v (%d syncs)\n",
 			n.Node, n.Tasks, n.Jobs, n.Misses,

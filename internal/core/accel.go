@@ -173,8 +173,9 @@ func (a *App) boostPoolLocked(c rt.Ctx, head HID, prio int64) {
 		}
 		// PIP boost: the holder inherits the waiter's priority. setEffPrio
 		// publishes it where the holder currently lives — heap re-fix if
-		// queued, mirror refresh if running, plain store otherwise (a
-		// suspended stack job is picked up by the next stackTop scan).
+		// queued, a store under the worker's shard lock if attached to one
+		// (a suspended stack job is picked up by the next stackTop scan),
+		// a plain store otherwise.
 		a.setEffPrio(holder, prio)
 		a.recordAccel(c, trace.AccelBoost, m, holder)
 		if holder.state.Load() == jobAccelWait && holder.waitingOn != NoAccel {
@@ -190,8 +191,8 @@ func (a *App) boostPoolLocked(c rt.Ctx, head HID, prio int64) {
 
 // setEffPrio publishes an effective-priority change on a job that may
 // concurrently sit in a shard's ready queue (its heap position must be
-// fixed under that shard's lock) or run on a worker (the preemption
-// mirror must be refreshed). Caller holds App.mu; the shard lock is taken
+// fixed under that shard's lock) or run on a worker (whose shard lock
+// guards the running job). Caller holds App.mu; the shard lock is taken
 // inside (rank 2 -> 3), resolved with the usual load/lock/re-validate loop.
 func (a *App) setEffPrio(j *job, prio int64) {
 	for {
@@ -205,23 +206,19 @@ func (a *App) setEffPrio(j *job, prio int64) {
 			j.effPrio.Store(prio)
 			if j.heapIdx >= 0 {
 				sh.q.fix(j)
-				sh.updateHeadLocked()
 			}
 			sh.mu.Unlock()
 			return
 		}
 		if wi := j.worker.Load(); wi >= 0 {
-			sh := a.shards[wi]
+			sh := a.workers[wi].shard
 			sh.mu.Lock()
 			j.effPrio.Store(prio)
-			if w := a.workers[wi]; w.current == j {
-				w.curPrio.Store(prio)
-			}
 			sh.mu.Unlock()
 			return
 		}
 		// Neither queued nor worker-attached (pre-run accel waiter): no
-		// concurrent heap or mirror to maintain.
+		// concurrent heap to maintain.
 		j.effPrio.Store(prio)
 		return
 	}
@@ -316,7 +313,7 @@ func (a *App) releaseInstanceLocked(c rt.Ctx, inst HID, j *job) {
 		// worker's stackTop scan sees it, then wake the idle worker or
 		// preempt the worker's less urgent current job.
 		ww := a.workers[w.worker.Load()]
-		wsh := a.shards[ww.idx]
+		wsh := ww.shard
 		wsh.mu.Lock()
 		w.state.Store(jobAccelResumed)
 		cur := ww.current

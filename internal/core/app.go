@@ -79,8 +79,9 @@ type App struct {
 	// Fiber recycling uses the same lock-free freelist scheme as jobs.
 	freeFibHead atomic.Uint64
 
-	// Release shards: one per worker (ready queue + release heap behind one
-	// leaf lock; see releaseShard). dataPending queues data-activated tasks
+	// Release shards (ready queue + release heap behind one leaf lock; see
+	// releaseShard): one shared by every worker under the global mapping,
+	// one per worker otherwise. dataPending queues data-activated tasks
 	// whose inputs became ready outside the inline producer-completion
 	// path; it is App.mu state, with dataPendingN mirroring its length so
 	// the tick skips the App.mu phase when empty.
@@ -114,10 +115,7 @@ type App struct {
 	// lock.
 	view atomic.Pointer[schedView]
 
-	// Sharded-scheduler counters (exported via SchedStats).
-	steals         atomic.Int64
-	stealMisses    atomic.Int64
-	migrations     atomic.Int64
+	// Scheduler counters (exported via SchedStats).
 	idleWakes      atomic.Int64
 	signalsSent    atomic.Int64
 	signalsDeduped atomic.Int64
@@ -207,20 +205,22 @@ func New(cfg Config, env rt.Env) (*App, error) {
 	a.topics = make([]topic, cfg.MaxChannels)
 	a.edges = make([]edge, cfg.MaxChannels)
 	a.jobPool = make([]job, cfg.MaxPendingJobs)
-	// One shard (ready queue + release heap + leaf lock) per worker,
-	// regardless of mapping: global routes tasks by id modulo shard count
-	// and lets idle workers steal; partitioned routes by VirtCore with no
-	// stealing. Each queue holds the whole pool in the worst case, so
-	// migrations and steals can never overflow a destination queue; each
-	// release heap holds the whole task table, so arming never allocates.
+	// Shards (ready queue + release heap + leaf lock): the global mapping
+	// has one, the ready queue all workers share (Section 3.3); partitioned
+	// routes tasks by VirtCore to one shard per worker, and offline keeps
+	// the same per-worker layout. Each queue holds the whole pool and each
+	// release heap the whole task table, so neither push nor arming ever
+	// fails or allocates.
 	nq := cfg.Workers
+	if cfg.Mapping == MappingGlobal {
+		nq = 1
+	}
 	a.shards = make([]*releaseShard, nq)
 	for i := range a.shards {
 		a.shards[i] = &releaseShard{
 			q:   newReadyQueue(cfg.MaxPendingJobs),
 			rel: releaseHeap{h: make([]*task, 0, cfg.MaxTasks)},
 		}
-		a.shards[i].headPrio.Store(noRunPrio)
 	}
 	a.slowDue = make([]slowRelease, 0, cfg.MaxTasks)
 	a.dataPending = make([]*task, 0, cfg.MaxTasks)
@@ -232,6 +232,7 @@ func New(cfg Config, env rt.Env) (*App, error) {
 			preempted: make([]*job, 0, cfg.MaxPendingJobs),
 			vselOrder: make([]VID, 0, cfg.MaxVersionsPerTask),
 			vselRest:  make([]VID, 0, cfg.MaxVersionsPerTask),
+			shard:     a.shards[i%nq],
 		}
 	}
 	nfib := cfg.Workers + cfg.MaxPendingJobs
@@ -279,9 +280,6 @@ func (a *App) Init() {
 	a.tickSeq.Store(0)
 	a.dataPendingN.Store(0)
 	a.view.Store(nil)
-	a.steals.Store(0)
-	a.stealMisses.Store(0)
-	a.migrations.Store(0)
 	a.idleWakes.Store(0)
 	a.signalsSent.Store(0)
 	a.signalsDeduped.Store(0)
@@ -454,7 +452,7 @@ func (a *App) VersionDecl(t TID, fn TaskFunc, args any, props VSelect) (VID, err
 		return -1, fmt.Errorf("%w: MaxVersionsPerTask=%d", ErrTooMany, cap(tk.versions))
 	}
 	id := VID(len(tk.versions))
-	tk.versions = append(tk.versions, version{id: id, fn: fn, args: args, props: props, accel: NoAccel})
+	tk.versions = append(tk.versions, version{fn: fn, args: args, props: props, accel: NoAccel})
 	return id, nil
 }
 
@@ -602,7 +600,7 @@ func (a *App) connect(src, dst TID, c CID, delay int) error {
 	} else {
 		e.stamps = e.stamps[:a.cfg.GraphInstanceCap]
 	}
-	e.head, e.count, e.tokens = 0, 0, 0
+	e.head, e.count = 0, 0
 	return nil
 }
 
@@ -840,7 +838,8 @@ func (a *App) deriveTaskLocked(t *task) error {
 }
 
 // homeShardOf routes a task to its home release shard: its virtual core
-// under the partitioned mapping, id modulo shard count under global.
+// under the partitioned mapping, id modulo shard count otherwise (always
+// the one shared shard under global).
 func (a *App) homeShardOf(t *task) int {
 	if a.cfg.Mapping == MappingPartitioned {
 		if t.d.VirtCore >= 0 && t.d.VirtCore < len(a.shards) {
@@ -852,7 +851,9 @@ func (a *App) homeShardOf(t *task) int {
 }
 
 // graphDeadlineFor walks back to the graph roots and returns the smallest
-// root relative deadline (conservative).
+// root relative deadline (conservative). A root is what deriveTaskLocked
+// calls one — periodic, sporadic or without in-edges — so the walk stops at
+// a periodic root even when a delayed feedback edge leads into it.
 func (a *App) graphDeadlineFor(t *task) time.Duration {
 	best := time.Duration(0)
 	seen := make(map[TID]bool)
@@ -862,7 +863,7 @@ func (a *App) graphDeadlineFor(t *task) time.Duration {
 			return
 		}
 		seen[x.id] = true
-		if len(x.inEdges) == 0 {
+		if x.d.Period > 0 || x.d.Sporadic || len(x.inEdges) == 0 {
 			d := x.d.Deadline
 			if d == 0 {
 				d = x.d.Period

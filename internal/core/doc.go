@@ -15,8 +15,9 @@
 // # Scheduler hot path
 //
 // Periodic roots wait in a min-heap keyed on (next release, task id)
-// (release.go), one per release shard — one shard per worker under both
-// mappings. A scheduler tick pops each heap's due heads and re-keys them in
+// (release.go), one per release shard: the global mapping has one shard,
+// whose ready queue every worker shares, and partitioned and offline have
+// one per worker. A scheduler tick pops each heap's due heads and re-keys them in
 // place, so tick cost is O(log n) per released job — independent of the
 // declared task count — and the heap heads give the exact next release
 // instant, so grid points before it are slept over entirely. Data-activated
@@ -41,12 +42,15 @@
 //
 // # Locking
 //
-// One App lock (App.mu) guards all mutable scheduling state; it is held
-// for table-bounded work only, never across job execution. Outside it live
-// the deliberately lock-free paths: Publish through the atomic topicView
-// snapshot and the MPSC staging ring (internal/lockfree), the atomic
-// lifecycle flags (started/stopping/terminating), and the counters.
-// Reconfiguration transactions serialise on App.reconfigMu and take App.mu
-// only to stage and to commit. docs/ARCHITECTURE.md maps the boundary in
-// detail.
+// The App lock (App.mu) guards the reconfiguration surface, the task graph
+// and accelerator arbitration; it is held for table-bounded work only,
+// never across job execution, and is off the steady scheduling path.
+// Releases, dispatch and isolated-task completion run under the release
+// shards' leaf locks (shard.go). Outside both live the deliberately
+// lock-free paths: Publish through the atomic topicView snapshot and the
+// MPSC staging ring (internal/lockfree), TaskActivate's schedView
+// pre-check, the atomic lifecycle flags (started/stopping/terminating), and
+// the counters. Reconfiguration transactions serialise on App.reconfigMu
+// and take App.mu only to stage and to commit. docs/ARCHITECTURE.md maps
+// the boundary in detail.
 package core

@@ -80,12 +80,10 @@ func (x *ExecCtx) Compute(d time.Duration) error {
 }
 
 // suspendForPreemption is called when the fiber received the preemption
-// signal mid-Compute. Under the worker's own shard lock it re-checks that a
-// more urgent job is actually waiting (the signal may be stale — and under
-// the global mapping the dispatcher migrates the urgent job into this
-// worker's shard before signalling, so the own queue head is the full
-// check); if so it hands the worker back, parks, and returns when the
-// worker resumes this job. Returns false on termination.
+// signal mid-Compute. Under the worker's shard lock it re-checks that a
+// more urgent job is actually waiting at the head of the worker's queue
+// (the signal may be stale); if so it hands the worker back, parks, and
+// returns when the worker resumes this job. Returns false on termination.
 func (x *ExecCtx) suspendForPreemption() bool {
 	a := x.app
 	if a.terminating.Load() {
@@ -93,7 +91,7 @@ func (x *ExecCtx) suspendForPreemption() bool {
 	}
 	j := x.j
 	w := a.workers[j.worker.Load()]
-	sh := a.shards[w.idx]
+	sh := w.shard
 	sh.mu.Lock()
 	head := sh.q.peek()
 	if head == nil || !head.before(j) || !a.cfg.Preemption {
@@ -219,7 +217,7 @@ func (x *ExecCtx) AccelSectionOn(h HID, d time.Duration) error {
 		// shard lock alone, and a releasing holder's direct grant flips
 		// jobAccelWait -> jobAccelResumed under the same pair.
 		w := a.workers[j.worker.Load()]
-		sh := a.shards[w.idx]
+		sh := w.shard
 		sh.mu.Lock()
 		j.state.Store(jobAccelWait)
 		w.wakeReason = wakeAsyncFree
@@ -283,7 +281,7 @@ func (x *ExecCtx) detachedWait(d time.Duration) error {
 	a := x.app
 	j := x.j
 	w := a.workers[j.worker.Load()]
-	sh := a.shards[w.idx]
+	sh := w.shard
 	sh.mu.Lock()
 	j.state.Store(jobAccelAsync)
 	w.wakeReason = wakeAsyncFree
@@ -307,7 +305,7 @@ func (x *ExecCtx) rejoinWorker() error {
 	a := x.app
 	j := x.j
 	w := a.workers[j.worker.Load()]
-	sh := a.shards[w.idx]
+	sh := w.shard
 	sh.mu.Lock()
 	// Become resumable BEFORE probing the idle list: if the claim below
 	// loses to the worker's self-claim, the worker's pre-park re-check

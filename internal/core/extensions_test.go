@@ -177,3 +177,36 @@ func TestDelayedEdgeAllowsEarlyConsumer(t *testing.T) {
 		t.Errorf("fires = %v, want at least one pre-producer firing from seeds", fires)
 	}
 }
+
+// TestFeedbackRootDeadlineInherited: a data-activated consumer inherits its
+// deadline from the periodic producer that feeds it, even when a delayed
+// feedback edge leads back into that producer — the producer is still a
+// root. A consumer that overruns the producer's period is then late and
+// counted as a miss, as admission analyses it.
+func TestFeedbackRootDeadlineInherited(t *testing.T) {
+	r := newRig(t, Config{Workers: 1, Priority: PriorityEDF}, nil)
+	app := r.app
+	fwd, _ := app.ChannelDecl("fwd", 2)
+	back, _ := app.ChannelDecl("back", 2)
+	prod, _ := app.TaskDecl(TData{Name: "prod", Period: ms(10)})
+	cons, _ := app.TaskDecl(TData{Name: "cons"})
+	app.VersionDecl(prod, spin(ms(1)), nil, VSelect{})
+	app.VersionDecl(cons, spin(ms(12)), nil, VSelect{})
+	if err := app.ChannelConnect(prod, cons, fwd); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.ChannelConnectDelayed(cons, prod, back, 1); err != nil {
+		t.Fatal(err)
+	}
+	r.runMain(t, ms(60), nil)
+	if d := app.tasks[cons].effDeadline; d != ms(10) {
+		t.Errorf("consumer deadline = %v, want the producer's period 10ms", d)
+	}
+	st := app.Recorder().Task("cons")
+	if st == nil || st.Jobs < 2 {
+		t.Fatalf("consumer stats = %+v, want at least 2 jobs", st)
+	}
+	if st.Misses != st.Jobs {
+		t.Errorf("consumer missed %d of %d jobs; each runs 12ms against a 10ms inherited deadline", st.Misses, st.Jobs)
+	}
+}

@@ -152,7 +152,7 @@ func (a *App) runOfflineEntry(c rt.Ctx, w *workerState, e *TableEntry, release t
 	f.th.Unpark()
 	// The fiber notifies completion under the worker's shard lock (the same
 	// handshake as the online dispatcher).
-	sh := a.shards[w.idx]
+	sh := w.shard
 	for {
 		intr := c.Park()
 		if intr && a.terminating.Load() {

@@ -320,14 +320,36 @@ func (tx *Reconfig) refTopic(c CID) (*topic, error) {
 }
 
 // AddTask stages a new task. The returned TID is final on commit; stage at
-// least one version with AddVersion before the transaction ends.
+// least one version with AddVersion before the transaction ends. When the
+// task table is full only because removed tasks are still draining, AddTask
+// waits for a slot to free.
 func (tx *Reconfig) AddTask(d TData) (TID, error) {
 	if err := validateTData(d); err != nil {
 		return -1, err
 	}
 	a := tx.a
-	a.mu.Lock(tx.c)
-	defer a.mu.Unlock(tx.c)
+	for {
+		a.mu.Lock(tx.c)
+		id, err := tx.stageTaskLocked(d)
+		// A full table whose removed tasks are still draining (a removed
+		// task holds its slot until its queued and running jobs finish) is
+		// drain timing, not an oversized target: wait for a drain to free a
+		// slot, one scheduler period at a time, instead of failing. The
+		// wait ends as drains always do — every released job runs to
+		// completion, as Cleanup also relies on — and reconfigMu keeps
+		// every other transaction out meanwhile.
+		wait := errors.Is(err, ErrTooMany) && a.started.Load() && a.anyDrainingLocked()
+		a.mu.Unlock(tx.c)
+		if !wait {
+			return id, err
+		}
+		tx.c.Sleep(a.schedPeriodOr(time.Millisecond))
+	}
+}
+
+// stageTaskLocked reserves a slot for d and stages it. Caller holds a.mu.
+func (tx *Reconfig) stageTaskLocked(d TData) (TID, error) {
+	a := tx.a
 	if id := a.taskIDByName(d.Name); id >= 0 {
 		st := a.tasks[id].state
 		if (st == taskRunning || st == taskAdmitted) && !tx.removeTasks[id] {
@@ -348,6 +370,17 @@ func (tx *Reconfig) AddTask(d TData) (TID, error) {
 	return id, nil
 }
 
+// anyDrainingLocked reports whether some removed task is still draining.
+// Caller holds a.mu.
+func (a *App) anyDrainingLocked() bool {
+	for i := 0; i < a.ntasks; i++ {
+		if a.tasks[i].state == taskDraining {
+			return true
+		}
+	}
+	return false
+}
+
 // AddVersion stages an implementation for a task added in this transaction
 // (versions of running tasks are immutable: retire and re-admit instead).
 func (tx *Reconfig) AddVersion(t TID, fn TaskFunc, args any, props VSelect) (VID, error) {
@@ -362,7 +395,7 @@ func (tx *Reconfig) AddVersion(t TID, fn TaskFunc, args any, props VSelect) (VID
 		return -1, fmt.Errorf("%w: MaxVersionsPerTask=%d", ErrTooMany, cap(tk.versions))
 	}
 	id := VID(len(tk.versions))
-	tk.versions = append(tk.versions, version{id: id, fn: fn, args: args, props: props, accel: NoAccel})
+	tk.versions = append(tk.versions, version{fn: fn, args: args, props: props, accel: NoAccel})
 	return id, nil
 }
 
@@ -1180,7 +1213,7 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 		} else {
 			e.stamps = e.stamps[:a.cfg.GraphInstanceCap]
 		}
-		e.head, e.count, e.tokens = 0, 0, 0
+		e.head, e.count = 0, 0
 		e.dead = false
 		for k := 0; k < se.delay; k++ {
 			e.pushStamp(now)
@@ -1315,8 +1348,8 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 	rec.Mode = a.mode.Load()
 	a.epoch.Store(int64(epoch))
 	// Publish the new epoch's scheduling snapshot: lock-free readers
-	// (TaskActivate's fast path, steal victim scans) flip to the new tables
-	// with one atomic pointer swap.
+	// (TaskActivate's fast path) flip to the new tables with one atomic
+	// pointer swap.
 	if started {
 		a.publishViewLocked()
 	}

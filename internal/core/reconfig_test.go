@@ -205,15 +205,21 @@ func TestReconfigureLastSubscriberRetiresUnblocksPublisher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var okBefore, okAfter, failBefore int
+	// okAt holds the instant of every successful publish. The subscriber
+	// drains until it retires, so the count that matters starts at its
+	// RetireEvent, not at the epoch bump: a release at the commit instant
+	// may still be consumed before the retirement.
+	var okAt []time.Duration
+	var okBefore, failBefore int
 	pub, _ := r.app.TaskDecl(TData{Name: "pub", Period: ms(10)})
 	r.app.VersionDecl(pub, func(x *ExecCtx, _ any) error {
 		err := x.Publish(top, x.JobIndex())
 		switch {
-		case err == nil && x.App().Epoch() == 0:
-			okBefore++
 		case err == nil:
-			okAfter++
+			okAt = append(okAt, x.Now())
+			if x.App().Epoch() == 0 {
+				okBefore++
+			}
 		case x.App().Epoch() == 0:
 			failBefore++
 		}
@@ -244,8 +250,24 @@ func TestReconfigureLastSubscriberRetiresUnblocksPublisher(t *testing.T) {
 	if okBefore < 9 || failBefore != 0 {
 		t.Errorf("pre-epoch publishes: ok=%d fail=%d, want ~10/0", okBefore, failBefore)
 	}
+	var retiredAt time.Duration
+	retired := false
+	for _, e := range r.app.Recorder().Retires() {
+		if e.Task == "sub" {
+			retiredAt, retired = e.At, true
+		}
+	}
+	if !retired {
+		t.Fatal("no RetireEvent for the removed subscriber")
+	}
+	okAfter := 0
+	for _, at := range okAt {
+		if at >= retiredAt {
+			okAfter++
+		}
+	}
 	if okAfter != 4 {
-		t.Errorf("post-retire successful publishes = %d, want exactly Capacity=4", okAfter)
+		t.Errorf("successful publishes after the retirement at %v = %d, want exactly Capacity=4", retiredAt, okAfter)
 	}
 	if rec := r.app.Recorder().Task("pub"); rec == nil || rec.Jobs < 29 {
 		t.Errorf("pub = %+v, want ~30 uninterrupted jobs", rec)
@@ -500,4 +522,55 @@ func reconfigureAllocs(t *testing.T, n int) (objs, bytes uint64) {
 	})
 	env.Wait()
 	return objs, bytes
+}
+
+// TestReconfigureChurnWaitsForDrainingSlots: a removed task whose job is
+// still queued holds its slot until the job runs. Closed-loop remove-one /
+// add-one transactions against a table one slot larger than the live set,
+// with the only worker held busy so drains lag, must not fail with
+// ErrTooMany: the target configuration always fits MaxTasks, so AddTask
+// waits for a drain to free a slot.
+func TestReconfigureChurnWaitsForDrainingSlots(t *testing.T) {
+	r := newRig(t, Config{Workers: 1, Priority: PriorityEDF, MaxTasks: 3}, nil)
+	declSpin(t, r.app, "hog", ms(10), ms(8))
+	declSpin(t, r.app, "churn0", ms(10), ms(1))
+	const rounds = 6
+	var commits int
+	r.runMain(t, ms(200), func(c rt.Ctx) {
+		for i := 1; i <= rounds; i++ {
+			c.SleepUntil(ms(2) + time.Duration(i)*ms(1))
+			err := r.app.Reconfigure(c, func(tx *Reconfig) error {
+				if err := tx.RemoveTaskByName(fmt.Sprintf("churn%d", i-1)); err != nil {
+					return err
+				}
+				id, err := tx.AddTask(TData{Name: fmt.Sprintf("churn%d", i), Period: ms(10)})
+				if err != nil {
+					return err
+				}
+				_, err = tx.AddVersion(id, spin(ms(1)), nil, VSelect{WCET: ms(1)})
+				return err
+			})
+			if err != nil {
+				t.Errorf("round %d: %v", i, err)
+				return
+			}
+			commits++
+		}
+	})
+	if commits != rounds {
+		t.Fatalf("%d of %d transactions committed", commits, rounds)
+	}
+	// Every removed incarnation drained and retired; the last one runs on.
+	retired := map[string]bool{}
+	for _, e := range r.app.Recorder().Retires() {
+		retired[e.Task] = true
+	}
+	for i := 0; i < rounds; i++ {
+		if name := fmt.Sprintf("churn%d", i); !retired[name] {
+			t.Errorf("%s never retired", name)
+		}
+	}
+	if st := r.app.Recorder().Task(fmt.Sprintf("churn%d", rounds)); st == nil || st.Jobs == 0 {
+		t.Errorf("last incarnation never ran: %+v", st)
+	}
 }

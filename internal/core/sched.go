@@ -59,8 +59,6 @@ func (a *App) Start(c rt.Ctx) error {
 			sh.q.pop()
 		}
 		sh.nready.Store(0)
-		sh.headPrio.Store(noRunPrio)
-		sh.headSeq.Store(0)
 	}
 	a.slowDue = a.slowDue[:0]
 	a.dataPending = a.dataPending[:0]
@@ -89,7 +87,7 @@ func (a *App) Start(c rt.Ctx) error {
 		if e.dead {
 			continue
 		}
-		e.head, e.count, e.tokens = 0, 0, 0
+		e.head, e.count = 0, 0
 		for k := 0; k < e.initial; k++ {
 			e.pushStamp(a.startTime)
 		}
@@ -114,8 +112,6 @@ func (a *App) Start(c rt.Ctx) error {
 		w.idlePrev, w.idleNext = nil, nil
 		w.pendingCost = 0
 		w.lastSignalTick = 0
-		w.curPrio.Store(noRunPrio)
-		w.curSeq.Store(0)
 	}
 	a.started.Store(true)
 	// Publish the epoch-0 scheduling snapshot for lock-free readers.
@@ -481,7 +477,6 @@ func (a *App) releaseJobShardLocked(sh *releaseShard, si int, t *task, release, 
 	}
 	j.shardIdx.Store(int32(si))
 	sh.nready.Add(1)
-	sh.updateHeadLocked()
 	return j
 }
 
@@ -521,17 +516,16 @@ func (a *App) dispatch(c rt.Ctx) {
 	t0 := c.Now()
 	tick := a.tickSeq.Add(1)
 	if a.cfg.Mapping == MappingPartitioned {
-		for i, sh := range a.shards {
-			if sh.nready.Load() == 0 {
+		for _, w := range a.workers {
+			if w.shard.nready.Load() == 0 {
 				continue
 			}
-			w := a.workers[i]
 			if a.claimIdle(w) {
 				a.idleWakes.Add(1)
 				c.Charge(costs.DispatchIPI)
 				w.th.Unpark()
 			} else if a.cfg.Preemption {
-				a.preemptShard(c, i, tick)
+				a.preemptShard(c, w, tick)
 			}
 		}
 	} else {
@@ -559,19 +553,18 @@ func (a *App) dispatch(c rt.Ctx) {
 		if woken > 0 {
 			c.Charge(time.Duration(woken) * costs.DispatchIPI)
 		}
-		if want > 0 && a.cfg.Preemption {
+		if want > 0 && a.cfg.Preemption && a.cfg.Mapping == MappingGlobal {
 			a.signalPreemptions(c, tick)
 		}
 	}
 	a.ovh.Add(trace.OverheadDispatch, c.Now()-t0)
 }
 
-// preemptShard checks one partitioned worker's shard: if the queue head
-// beats the running job, the worker's fiber is signalled (deduped per
-// dispatch pass). Returns true when a fresh signal was sent.
-func (a *App) preemptShard(c rt.Ctx, i int, tick int64) bool {
-	sh := a.shards[i]
-	w := a.workers[i]
+// preemptShard checks one worker against its shard: if the queue head beats
+// the running job, the worker's fiber is signalled (deduped per dispatch
+// pass).
+func (a *App) preemptShard(c rt.Ctx, w *workerState, tick int64) {
+	sh := w.shard
 	var fib *fiber
 	deduped := false
 	sh.mu.Lock()
@@ -588,106 +581,34 @@ func (a *App) preemptShard(c rt.Ctx, i int, tick int64) bool {
 	sh.mu.Unlock()
 	if deduped {
 		a.signalsDeduped.Add(1)
-		return false
+		return
 	}
-	if fib == nil {
-		return false
+	if fib != nil {
+		a.signalFiber(c, fib)
 	}
-	a.signalFiber(c, fib)
-	return true
 }
 
-// signalPreemptions closes cross-shard priority inversions under the global
-// mapping (Section 3.5 "Pre-emption", sharded): while the most urgent queued
-// head beats the least urgent running job, the head MIGRATES to the victim
-// worker's shard and that worker is signalled — preserving the old global
-// semantics (the queue head beats any lower-priority runner) without a
-// global queue. The scans read lock-free mirrors that may tear; every
-// decision is re-validated under the one shard lock it commits on, and the
-// pass is bounded by the worker count.
+// signalPreemptions is the global mapping's half of Section 3.5
+// "Pre-emption": the least urgent running job is the victim, and
+// preemptShard signals it if the head of the one shared queue beats it.
+// Every worker's current job is guarded by that queue's lock, so the victim
+// scan is exact; preemptShard re-validates after the lock is retaken.
 func (a *App) signalPreemptions(c rt.Ctx, tick int64) {
-	for round := 0; round < len(a.workers); round++ {
-		// Most urgent queued head across shards (mirror scan).
-		hs := -1
-		var hp, hseq int64
-		for i, sh := range a.shards {
-			p := sh.headPrio.Load()
-			if p == noRunPrio {
-				continue
-			}
-			s := sh.headSeq.Load()
-			if hs < 0 || p < hp || (p == hp && s < hseq) {
-				hs, hp, hseq = i, p, s
-			}
-		}
-		if hs < 0 {
-			return
-		}
-		// Least urgent running job (mirror scan).
-		li := -1
-		var lp, lseq int64
-		for i, w := range a.workers {
-			p := w.curPrio.Load()
-			if p == noRunPrio {
-				continue
-			}
-			s := w.curSeq.Load()
-			if li < 0 || p > lp || (p == lp && s > lseq) {
-				li, lp, lseq = i, p, s
-			}
-		}
-		if li < 0 {
-			return
-		}
-		if !(hp < lp || (hp == lp && hseq < lseq)) {
-			return
-		}
-		if li == hs {
-			// The urgent head already sits on the victim's own shard.
-			if !a.preemptShard(c, li, tick) {
-				return // dedup or stale mirrors: no progress possible
-			}
+	sh := a.shards[0]
+	var victim *workerState
+	sh.mu.Lock()
+	for _, w := range a.workers {
+		cur := w.current
+		if cur == nil || cur.state.Load() != jobRunning || cur.fib == nil {
 			continue
 		}
-		// Migrate the head into the victim's shard, one lock at a time.
-		src := a.shards[hs]
-		src.mu.Lock()
-		j := src.q.peek()
-		if j == nil || j.effPrio.Load() != hp || j.seq != hseq {
-			src.mu.Unlock()
-			continue // head changed under us; rescan
+		if victim == nil || victim.current.before(cur) {
+			victim = w
 		}
-		src.q.pop()
-		j.shardIdx.Store(-1)
-		src.nready.Add(-1)
-		src.updateHeadLocked()
-		src.mu.Unlock()
-		dst := a.shards[li]
-		w := a.workers[li]
-		var fib *fiber
-		dst.mu.Lock()
-		if err := dst.q.push(j); err != nil {
-			// Structurally impossible: every queue holds the whole pool.
-			dst.mu.Unlock()
-			panic(fmt.Sprintf("core: migration push failed: %v", err))
-		}
-		j.shardIdx.Store(int32(li))
-		dst.nready.Add(1)
-		dst.updateHeadLocked()
-		cur := w.current
-		if cur != nil && cur.state.Load() == jobRunning && j.before(cur) && cur.fib != nil {
-			if w.lastSignalTick == tick {
-				a.signalsDeduped.Add(1)
-			} else {
-				w.lastSignalTick = tick
-				fib = cur.fib
-			}
-		}
-		dst.mu.Unlock()
-		a.migrations.Add(1)
-		if fib != nil {
-			a.signalFiber(c, fib)
-		}
+	}
+	sh.mu.Unlock()
+	if victim != nil {
+		a.preemptShard(c, victim, tick)
 	}
 }
 

@@ -9,16 +9,15 @@ package core
 // Lock hierarchy (outermost first), enforced by yasmin-vet's lockorder
 // analyzer via the lockrank annotations on each lock:
 //
-//	reconfigMu(1) -> App.mu(2) -> shard.mu[i](3) -> idleMu(4)
+//	reconfigMu(1) -> App.mu(2) -> shard.mu(3) -> idleMu(4)
 //	              -> {Recorder, Overheads}(5) -> {Stat, Battery}(6)
 //
 // All shard locks share one rank (and one analyzer identity), so no code
-// path may hold two shard locks at once: stealing and migration lock the
-// source and destination shards strictly in sequence, re-validating after
-// each acquisition instead of nesting.
+// path holds two shard locks at once. No path needs to: a queued job is
+// popped only by a worker whose shard holds it, and no job moves from one
+// shard's queue to another's.
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -26,13 +25,13 @@ import (
 	"github.com/yasmin-rt/yasmin/internal/trace"
 )
 
-// releaseShard is one leaf of the sharded scheduler core: a ready queue and
-// the release heap holding the shard's armed periodic roots, guarded by one
-// leaf lock. There is one shard per worker under both mappings (global
-// routes tasks by id modulo shard count, partitioned by VirtCore). Worker i
-// owns shard i: it pops its own queue under the shard lock and, under the
-// global mapping, steals from a sibling's shard by taking only that
-// sibling's lock. App.mu is never required on this path.
+// releaseShard is one leaf of the scheduler core: a ready queue and the
+// release heap holding the shard's armed periodic roots, guarded by one
+// leaf lock. The global mapping has exactly one shard, the one ready queue
+// every worker shares (Section 3.3); partitioned and offline have one per
+// worker, routed by VirtCore. Each worker reaches its shard through
+// workerState.shard and pops it under the shard lock; App.mu is never
+// required on this path.
 //
 // Lock discipline: shard.mu ranks BELOW App.mu, so commit paths holding
 // App.mu may take a shard lock, but never two shard locks at once (see the
@@ -42,30 +41,9 @@ type releaseShard struct {
 	mu  sync.Mutex
 	q   *readyQueue
 	rel releaseHeap
-	// nready mirrors q.len() for lock-free load probing (steal victim
-	// selection, dispatch wake counts, idle workers' pre-park re-check).
+	// nready mirrors q.len() for lock-free load probing (dispatch wake
+	// counts, idle workers' pre-park re-check).
 	nready atomic.Int32
-	// headPrio/headSeq mirror the queue head's priority key for the lock-free
-	// preemption scan; they may tear relative to each other, so decisions
-	// based on them are re-validated under the shard lock.
-	headPrio atomic.Int64
-	headSeq  atomic.Int64
-}
-
-// noRunPrio is the head/current mirror sentinel for "nothing here".
-const noRunPrio = int64(math.MaxInt64)
-
-// updateHeadLocked refreshes the head mirrors; caller holds sh.mu.
-//
-//yasmin:noalloc
-func (sh *releaseShard) updateHeadLocked() {
-	if h := sh.q.peek(); h != nil {
-		sh.headPrio.Store(h.effPrio.Load())
-		sh.headSeq.Store(h.seq)
-	} else {
-		sh.headPrio.Store(noRunPrio)
-		sh.headSeq.Store(0)
-	}
 }
 
 // schedView is the immutable scheduling snapshot published at Start and at
@@ -74,21 +52,14 @@ func (sh *releaseShard) updateHeadLocked() {
 // snapshot is never mutated after publication, so a reader can use a stale
 // one safely and re-validate against shard-guarded state once it holds the
 // relevant leaf lock. It generalises the topicView pattern to the scheduler
-// core: task-slot liveness, queue routing and the priority configuration
-// become lock-free reads.
+// core: task-slot liveness becomes a lock-free read.
 //
 //yasmin:immutable
 type schedView struct {
-	epoch   int64
-	ntasks  int32
-	nq      int32
-	mapping MappingScheme
-	prio    PriorityAssignment
+	ntasks int32
 	// live is a bitmap over task slots: bit set = the slot holds a Running
 	// or Admitted task in this epoch.
 	live []uint64
-	// shard is the home shard per task slot at publication time.
-	shard []int32
 }
 
 // liveBit reports whether task slot id was live when the view was taken.
@@ -107,17 +78,11 @@ func (v *schedView) liveBit(id int) bool {
 func (a *App) publishViewLocked() {
 	nt := a.ntasks
 	v := &schedView{
-		epoch:   a.epoch.Load(),
-		ntasks:  int32(nt),
-		nq:      int32(len(a.shards)),
-		mapping: a.cfg.Mapping,
-		prio:    a.cfg.Priority,
-		live:    make([]uint64, (nt+63)/64),
-		shard:   make([]int32, nt),
+		ntasks: int32(nt),
+		live:   make([]uint64, (nt+63)/64),
 	}
 	for i := 0; i < nt; i++ {
 		t := &a.tasks[i]
-		v.shard[i] = t.shard.Load()
 		if t.state == taskRunning || t.state == taskAdmitted {
 			v.live[i>>6] |= 1 << (uint(i) & 63)
 		}
@@ -230,7 +195,6 @@ func (a *App) pushReady(c rt.Ctx, j *job) bool {
 		if err == nil {
 			j.shardIdx.Store(si)
 			sh.nready.Add(1)
-			sh.updateHeadLocked()
 		}
 		cost := queueOpCost(a.env.Costs(), sh.q)
 		sh.mu.Unlock()
@@ -239,14 +203,12 @@ func (a *App) pushReady(c rt.Ctx, j *job) bool {
 	}
 }
 
-// SchedStats returns the sharded-scheduler counters for the current run:
-// work-stealing traffic, cross-shard preemption migrations, idle-list
-// wakes, preemption-signal dedup hits and schedView publications.
+// SchedStats returns the scheduler counters for the current run: idle-list
+// wakes, preemption signals and their dedup hits, and schedView
+// publications. Steals, StealMisses and Migrations stay 0: no job moves
+// between shards.
 func (a *App) SchedStats() trace.SchedStats {
 	return trace.SchedStats{
-		Steals:         a.steals.Load(),
-		StealMisses:    a.stealMisses.Load(),
-		Migrations:     a.migrations.Load(),
 		IdleWakes:      a.idleWakes.Load(),
 		Signals:        a.signalsSent.Load(),
 		SignalsDeduped: a.signalsDeduped.Load(),

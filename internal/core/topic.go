@@ -91,11 +91,6 @@ type topicView struct {
 	// publisher's own thread, without ever taking the App lock. Nil on
 	// purely local topics — the common case costs one pointer test.
 	fwd func(pub TID, v any)
-	// remote marks a topic with remote publishers: cluster ingress
-	// injects entries via RemotePublish from a non-task thread, so the
-	// wall-clock backend needs the staging ring even with a single
-	// local publisher.
-	remote bool
 }
 
 func (v *topicView) isPub(t TID) bool {
@@ -140,7 +135,10 @@ type topic struct {
 	// dead marks a removed topic (its slot recycles once redeclared).
 	dead bool
 
-	// fwd/remote are the cluster attachment points (see topicView).
+	// fwd is the remote-subscriber forwarder (see topicView). remote marks
+	// a topic with remote publishers: cluster ingress injects entries via
+	// RemotePublish from a non-task thread, so the wall-clock backend needs
+	// the staging ring even with a single local publisher.
 	fwd    func(pub TID, v any)
 	remote bool
 
@@ -163,7 +161,6 @@ func (tp *topic) publishView() {
 		capacity: tp.opts.Capacity,
 		dead:     tp.dead,
 		fwd:      tp.fwd,
-		remote:   tp.remote,
 	})
 }
 

@@ -482,11 +482,15 @@ func TestTypedPorts(t *testing.T) {
 // TestTopicMultiPubWallClockStress exercises the lock-free MPSC fan-in
 // staging path: four publisher tasks and one subscriber on the OS backend
 // under the race detector. Per-publisher FIFO order must hold and every
-// successful publish must be delivered.
+// successful publish must be delivered. Every task is pinned (partitioned
+// mapping) so each one's jobs run serialized on its home worker: under the
+// global mapping two jobs of one task may run at once, and two overlapping
+// publisher jobs would re-publish a sequence number, two overlapping
+// subscriber jobs would check it out of order.
 func TestTopicMultiPubWallClockStress(t *testing.T) {
 	env := rt.NewOSEnv()
 	env.Spin = false
-	app, err := New(Config{Workers: 4, Priority: PriorityRM, MaxPendingJobs: 256}, env)
+	app, err := New(Config{Workers: 4, Mapping: MappingPartitioned, Priority: PriorityRM, MaxPendingJobs: 256}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +503,7 @@ func TestTopicMultiPubWallClockStress(t *testing.T) {
 	var quiesce atomic.Bool
 	for p := 0; p < pubs; p++ {
 		p := p
-		tid, _ := app.TaskDecl(TData{Name: fmt.Sprintf("pub%d", p), Period: 2 * time.Millisecond})
+		tid, _ := app.TaskDecl(TData{Name: fmt.Sprintf("pub%d", p), Period: 2 * time.Millisecond, VirtCore: p})
 		app.VersionDecl(tid, func(x *ExecCtx, _ any) error {
 			if quiesce.Load() {
 				return nil
@@ -520,7 +524,7 @@ func TestTopicMultiPubWallClockStress(t *testing.T) {
 	var mu sync.Mutex
 	lastSeen := make([]int64, pubs)
 	var taken int64
-	sub, _ := app.TaskDecl(TData{Name: "sub", Period: 5 * time.Millisecond})
+	sub, _ := app.TaskDecl(TData{Name: "sub", Period: 5 * time.Millisecond, VirtCore: 0})
 	app.VersionDecl(sub, func(x *ExecCtx, _ any) error {
 		for {
 			v, ok, err := x.Take(top)
@@ -582,8 +586,8 @@ func TestTopicMultiPubWallClockStress(t *testing.T) {
 // subsequence stays strictly increasing (gaps are the dropped entries).
 // The publishers are pinned (partitioned mapping) so each one's jobs run
 // serialized on its home worker: under the global mapping a task's next
-// release can be dispatched or stolen while the previous job still runs,
-// and overlapping jobs would make the per-publisher sequence ill-defined.
+// release can be dispatched while the previous job still runs, and
+// overlapping jobs would make the per-publisher sequence ill-defined.
 func TestTopicMultiPubWallClockDropOldest(t *testing.T) {
 	env := rt.NewOSEnv()
 	env.Spin = false

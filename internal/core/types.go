@@ -143,7 +143,6 @@ func (s taskState) String() string {
 
 // version is a registered implementation of a task.
 type version struct {
-	id    VID
 	fn    TaskFunc
 	args  any
 	props VSelect
@@ -246,7 +245,6 @@ func (t *task) periodicRoot() bool {
 type edge struct {
 	src, dst TID
 	ch       CID
-	tokens   int
 	initial  int             // delay tokens pre-seeded at Start
 	stamps   []time.Duration // ring buffer, preallocated
 	head     int
@@ -262,7 +260,6 @@ func (e *edge) pushStamp(t time.Duration) bool {
 	}
 	e.stamps[(e.head+e.count)%len(e.stamps)] = t
 	e.count++
-	e.tokens++
 	return true
 }
 
@@ -273,7 +270,6 @@ func (e *edge) popStamp() (time.Duration, bool) {
 	s := e.stamps[e.head]
 	e.head = (e.head + 1) % len(e.stamps)
 	e.count--
-	e.tokens--
 	return s, true
 }
 
@@ -298,9 +294,9 @@ const (
 // Locking: heap position (heapIdx) and state transitions of queued or
 // stack-resident jobs are guarded by the shard lock that currently holds the
 // job (shardIdx while queued, the owning worker's shard while on a stack).
-// effPrio, worker and shardIdx are atomics so cross-shard readers (steal
-// candidates, preemption mirrors, PIP boosts) never tear; their writers
-// still follow the shard-lock discipline so heap invariants hold.
+// effPrio, worker and shardIdx are atomics so readers without that lock
+// (PIP boosts locating the job, accelerator arbitration) never tear; their
+// writers still follow the shard-lock discipline so heap invariants hold.
 type job struct {
 	t *task
 	// name snapshots t.d.Name at fill time: Retune rewrites t.d under
@@ -345,8 +341,8 @@ type job struct {
 	// enqueued (intrusive index: no per-queue position map on the hot path).
 	heapIdx int
 	// shardIdx is the shard whose ready queue holds the job, -1 otherwise
-	// (a migrating or boosted job is re-located with a load/lock/re-validate
-	// loop on this field).
+	// (a boosted job is re-located with a load/lock/re-validate loop on
+	// this field).
 	shardIdx atomic.Int32
 	// fastSel / fastPath capture the task's fastSel / fastDone flags at
 	// release time (stable for the job's lifetime without further locking).

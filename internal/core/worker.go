@@ -20,14 +20,17 @@ const (
 )
 
 // workerState is one virtual CPU (Figure 1): a thread pinned to a shielded
-// core executing jobs, with a stack of preempted jobs. Worker i owns release
-// shard i; the handshake fields (current, preempted, wakeReason, wakeJob,
-// lastSignalTick) are guarded by that shard's lock, the idle-list links by
-// idleMu, and pendingCost is worker-thread private.
+// core executing jobs, with a stack of preempted jobs. The worker pops its
+// ready queue from shard: the one shared shard under the global mapping, its
+// own under partitioned and offline. The handshake fields (current,
+// preempted, wakeReason, wakeJob, lastSignalTick) are guarded by that
+// shard's lock, the idle-list links by idleMu, and pendingCost is
+// worker-thread private.
 type workerState struct {
 	idx        int
 	core       int
 	th         rt.Thread
+	shard      *releaseShard
 	current    *job
 	preempted  []*job // LIFO of suspended jobs (incl. async-resumed ones)
 	wakeReason workerWake
@@ -45,15 +48,8 @@ type workerState struct {
 	pendingCost time.Duration
 
 	// lastSignalTick dedups preemption signals per dispatch pass (guarded by
-	// the worker's own shard lock).
+	// the worker's shard lock).
 	lastSignalTick int64
-
-	// curPrio/curSeq mirror the running job's priority key for the lock-free
-	// preemption victim scan; noRunPrio when not running. They may tear
-	// relative to each other — decisions are re-validated under the shard
-	// lock.
-	curPrio atomic.Int64
-	curSeq  atomic.Int64
 
 	// vselOrder/vselRest are the worker-private version-selection scratch
 	// slices used by the lock-free selection fast path (selectVersionFast).
@@ -87,23 +83,18 @@ func (w *workerState) removeStack(i int) {
 }
 
 // workerLoop is the online-scheduling worker body: pick the most urgent of
-// (own shard head, preempted stack), steal from a loaded sibling when both
-// are empty (global mapping), run or resume the job, handle
+// (queue head, preempted stack), run or resume the job, handle
 // completion/suspension, park when idle. App.mu never appears on this loop's
-// steady path — only the worker's own shard lock (and a victim's, one at a
-// time, while stealing).
+// steady path — only the worker's shard lock.
 func (a *App) workerLoop(c rt.Ctx, w *workerState) {
 	defer a.threadExit()
 	costs := a.env.Costs()
-	sh := a.shards[w.idx]
+	sh := w.shard
 	for {
 		if a.terminating.Load() {
 			return
 		}
 		j, fresh := a.takeWork(w, sh)
-		if j == nil && a.cfg.Mapping != MappingPartitioned {
-			j, fresh = a.trySteal(w)
-		}
 		if j == nil {
 			if w.pendingCost > 0 {
 				c.Charge(w.pendingCost)
@@ -150,14 +141,12 @@ func (a *App) workerLoop(c rt.Ctx, w *workerState) {
 		if fresh && !a.prepareRun(c, w, j) {
 			continue
 		}
-		// Run handshake under the own shard lock: state, owner, mirrors.
+		// Run handshake under the shard lock: state and owner.
 		sh.mu.Lock()
 		newRun := j.state.Load() == jobReady
 		j.worker.Store(int32(w.idx))
 		j.state.Store(jobRunning)
 		w.current = j
-		w.curPrio.Store(j.effPrio.Load())
-		w.curSeq.Store(j.seq)
 		sh.mu.Unlock()
 		fib := j.fib
 
@@ -206,8 +195,6 @@ func (a *App) workerLoop(c rt.Ctx, w *workerState) {
 		switch reason {
 		case wakeCompleted:
 			w.current = nil
-			w.curPrio.Store(noRunPrio)
-			w.curSeq.Store(0)
 			sh.mu.Unlock()
 			// Completion bookkeeping runs with no shard lock held: the fast
 			// path is lock-free, the slow path takes App.mu (rank 2 < 3).
@@ -217,16 +204,12 @@ func (a *App) workerLoop(c rt.Ctx, w *workerState) {
 			j.preempts++
 			w.preempted = append(w.preempted, j)
 			w.current = nil
-			w.curPrio.Store(noRunPrio)
-			w.curSeq.Store(0)
 			sh.mu.Unlock()
 		case wakeAsyncFree:
 			// Job computes on the accelerator; the worker is free. The
 			// fiber re-attaches through the preempted stack when done.
 			w.preempted = append(w.preempted, j)
 			w.current = nil
-			w.curPrio.Store(noRunPrio)
-			w.curSeq.Store(0)
 			sh.mu.Unlock()
 		default:
 			sh.mu.Unlock()
@@ -235,8 +218,8 @@ func (a *App) workerLoop(c rt.Ctx, w *workerState) {
 	}
 }
 
-// takeWork pops the most urgent of (own shard head, preempted stack) under
-// the worker's own shard lock. fresh reports that the job came off the queue
+// takeWork pops the most urgent of (queue head, preempted stack) under the
+// worker's shard lock. fresh reports that the job came off the queue
 // and still needs prepareRun (version selection / accelerator acquisition).
 //
 //yasmin:noalloc
@@ -255,7 +238,6 @@ func (a *App) takeWork(w *workerState, sh *releaseShard) (j *job, fresh bool) {
 		j = sh.q.pop()
 		j.shardIdx.Store(-1)
 		sh.nready.Add(-1)
-		sh.updateHeadLocked()
 		w.pendingCost += queueOpCost(a.env.Costs(), sh.q)
 		fresh = true
 	default:
@@ -264,43 +246,6 @@ func (a *App) takeWork(w *workerState, sh *releaseShard) (j *job, fresh bool) {
 	}
 	sh.mu.Unlock()
 	return j, fresh
-}
-
-// trySteal claims the head of the most loaded sibling shard (global mapping
-// only; partitioned placements are fixed by definition). Victim selection
-// reads the lock-free nready mirrors; exactly one shard lock is held at a
-// time, and the pop re-validates under it.
-//
-//yasmin:noalloc
-func (a *App) trySteal(w *workerState) (*job, bool) {
-	best, bestLoad := -1, int32(0)
-	for i, sh := range a.shards {
-		if i == w.idx {
-			continue
-		}
-		if n := sh.nready.Load(); n > bestLoad {
-			best, bestLoad = i, n
-		}
-	}
-	if best < 0 {
-		return nil, false
-	}
-	sh := a.shards[best]
-	sh.mu.Lock()
-	j := sh.q.peek()
-	if j == nil {
-		sh.mu.Unlock()
-		a.stealMisses.Add(1)
-		return nil, false
-	}
-	sh.q.pop()
-	j.shardIdx.Store(-1)
-	sh.nready.Add(-1)
-	sh.updateHeadLocked()
-	w.pendingCost += queueOpCost(a.env.Costs(), sh.q)
-	sh.mu.Unlock()
-	a.steals.Add(1)
-	return j, true
 }
 
 // workVisible re-checks for work after enqueueIdle and before parking — the
@@ -323,17 +268,7 @@ func (a *App) workVisible(w *workerState, sh *releaseShard) bool {
 	sh.mu.Lock()
 	_, st := w.stackTop()
 	sh.mu.Unlock()
-	if st != nil || sh.nready.Load() > 0 {
-		return true
-	}
-	if a.cfg.Mapping != MappingPartitioned {
-		for _, osh := range a.shards {
-			if osh.nready.Load() > 0 {
-				return true
-			}
-		}
-	}
-	return false
+	return st != nil || sh.nready.Load() > 0
 }
 
 // prepareRun selects the version, acquires the accelerator (possibly parking
@@ -654,7 +589,7 @@ func (f *fiber) loop(c rt.Ctx) {
 		j.err = v.fn(&f.ectx, v.args)
 		// Notify the owning worker under its shard lock.
 		w := a.workers[j.worker.Load()]
-		sh := a.shards[w.idx]
+		sh := w.shard
 		sh.mu.Lock()
 		j.fnDone = true
 		w.wakeReason = wakeCompleted

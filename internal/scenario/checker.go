@@ -402,16 +402,10 @@ func (ck *Checker) finishAppLocked(app *core.App, commits int) {
 	// Accelerator arbitration: replay the PIP events.
 	ck.checkAccel(app.Recorder().AccelEvents())
 
-	// Sharded scheduler counters. Partitioned placements pin every job to
-	// its home shard, so work stealing and dispatcher migrations must be
-	// structurally impossible; and the epoch snapshot is published exactly
-	// once at Start plus once per committed reconfiguration, so a count
-	// drift means lock-free readers ran against a stale view.
+	// Scheduler counters: the epoch snapshot is published exactly once at
+	// Start plus once per committed reconfiguration, so a count drift means
+	// lock-free readers ran against a stale view.
 	st := app.SchedStats()
-	if app.Config().Mapping == core.MappingPartitioned && (st.Steals != 0 || st.Migrations != 0) {
-		ck.violationLocked("partitioned mapping moved jobs across shards: %d steals, %d migrations",
-			st.Steals, st.Migrations)
-	}
 	if st.ViewPublishes > 0 && st.ViewPublishes != int64(app.Epoch())+1 {
 		ck.violationLocked("schedView published %d times over %d epochs (want epochs+1): snapshot out of sync with commits",
 			st.ViewPublishes, app.Epoch())

@@ -38,10 +38,11 @@ const (
 	// tasks contend — the structural shape of the PR 5 waiter re-sort bug.
 	ShapeAccelChain Shape = "accel_chain"
 	// ShapeSteal skews per-group utilisation hard under the global mapping:
-	// a heavy short-period minority next to a near-idle majority, so ready
-	// queues pile up on a subset of release shards and idle workers make
-	// progress only through the steal path, while retune/ping-pong churn
-	// republishes the dispatch tables mid-traffic.
+	// a heavy short-period minority next to a near-idle majority, so the
+	// shared ready queue alternates between backlog and idle workers, while
+	// retune/ping-pong churn republishes the dispatch tables mid-traffic.
+	// The name is kept from the work-stealing design this shape once
+	// stressed, so seeds and corpus files still map to the same scenarios.
 	ShapeSteal Shape = "steal"
 	// ShapeCluster generates multi-node scenarios with cross-node topics,
 	// injected loss/reorder and cluster-wide churn.
@@ -378,10 +379,9 @@ func genAccelChain(rng *rand.Rand, sc *scenario.Scenario) {
 	}
 }
 
-// genSteal builds the work-stealing stress pattern. Stealing only exists
-// under the global mapping, so the shape overrides any partitioned draw;
-// the idle majority pads the task-id space so the heavy tasks land on a
-// strict subset of the release shards (home shard = id mod shard count).
+// genSteal builds the imbalanced-load pattern under the global mapping,
+// overriding any partitioned draw: a few heavy short-period tasks keep the
+// shared queue backlogged while a near-idle majority pads the task table.
 func genSteal(rng *rand.Rand, sc *scenario.Scenario) {
 	sc.Mapping = ""
 	sc.Groups = append(sc.Groups, scenario.TaskGroup{

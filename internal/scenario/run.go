@@ -49,9 +49,9 @@ type Report struct {
 	AccelBoosts    int64 `json:"accel_boosts,omitempty"`
 	AccelMaxWaitNS int64 `json:"accel_max_wait_ns,omitempty"`
 
-	// Sched is the sharded scheduler core's counter snapshot (summed over
-	// nodes in cluster mode): work-stealing traffic, dispatcher migrations,
-	// idle-list wakes, preemption signalling and schedView publications.
+	// Sched is the scheduler core's counter snapshot (summed over nodes in
+	// cluster mode): idle-list wakes, preemption signalling and schedView
+	// publications.
 	Sched trace.SchedStats `json:"sched"`
 
 	Epochs     int   `json:"epochs"`

@@ -537,20 +537,17 @@ func (o *Overheads) Kind(k OverheadKind) *Stat {
 	return o.byKind[k]
 }
 
-// SchedStats is the sharded scheduler core's counter snapshot: work-stealing
-// traffic, cross-shard preemption migrations, idle-list wakes, preemption
-// signalling (with per-dispatch-pass dedup hits) and epoch snapshot
-// publications. All counters are cumulative since Start.
+// SchedStats is the scheduler core's counter snapshot: idle-list wakes,
+// preemption signalling (with per-dispatch-pass dedup hits) and epoch
+// snapshot publications. All counters are cumulative since Start.
 type SchedStats struct {
-	// Steals counts jobs a worker popped from a sibling shard's queue
-	// (global mapping only; partitioned placements never steal).
-	Steals int64 `json:"steals"`
-	// StealMisses counts steal attempts that found the victim's queue
-	// empty after locking it (the lock-free load mirror was stale).
+	// Steals, StealMisses and Migrations always read 0: the global mapping
+	// shares one ready queue, so no job moves between queues. They remain
+	// only because the benchmark still reports them; the next change to the
+	// benchmark drops them.
+	Steals      int64 `json:"steals"`
 	StealMisses int64 `json:"steal_misses"`
-	// Migrations counts queued jobs the dispatcher moved into a preemption
-	// victim's shard to preserve global priority order.
-	Migrations int64 `json:"migrations"`
+	Migrations  int64 `json:"migrations"`
 	// IdleWakes counts workers woken off the idle list by the dispatcher.
 	IdleWakes int64 `json:"idle_wakes"`
 	// Signals counts preemption signals delivered to running fibers.
@@ -565,9 +562,6 @@ type SchedStats struct {
 
 // Add accumulates o into s; cluster reports sum the per-node snapshots.
 func (s *SchedStats) Add(o SchedStats) {
-	s.Steals += o.Steals
-	s.StealMisses += o.StealMisses
-	s.Migrations += o.Migrations
 	s.IdleWakes += o.IdleWakes
 	s.Signals += o.Signals
 	s.SignalsDeduped += o.SignalsDeduped
