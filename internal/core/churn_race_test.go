@@ -12,10 +12,10 @@ import (
 // TestSharedQueueChurnRaceOSEnv races the global mapping's one shared ready
 // queue against reconfiguration churn on the wall-clock backend. Four
 // short-period publishers release ~1.2 cores of work into the queue that
-// all four workers pop, between cold hour-period fillers. While that runs,
-// one thread churns a transient compute task (admit/retire) and another
-// retunes a hot publisher's period, so dispatch interleaves with schedView
-// republication, release re-arming and retirement quiescence. Under
+// all four workers pop. While that runs, one thread churns a transient
+// compute task (admit/retire) and another retunes a hot publisher's
+// period, so dispatch interleaves with schedView republication, release
+// re-arming and retirement quiescence. Under
 // overload two jobs of one task can legitimately run concurrently (the next
 // release is popped by another worker while the previous job still
 // computes), so entries carry atomically allocated sequence numbers and the
@@ -47,7 +47,6 @@ func TestSharedQueueChurnRaceOSEnv(t *testing.T) {
 		seq int64
 	}
 
-	// Declare nHot publishers with Workers-1 cold fillers after each.
 	hotIDs := make([]TID, nHot)
 	for p := 0; p < nHot; p++ {
 		p := p
@@ -70,15 +69,6 @@ func TestSharedQueueChurnRaceOSEnv(t *testing.T) {
 		}
 		if err := app.TopicPub(tid, stream); err != nil {
 			t.Fatal(err)
-		}
-		for f := 0; f < 3; f++ {
-			ftid, err := app.TaskDecl(TData{Name: fmt.Sprintf("cold%d-%d", p, f), Period: time.Hour})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := app.VersionDecl(ftid, func(x *ExecCtx, _ any) error { return nil }, nil, VSelect{}); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 

@@ -320,36 +320,14 @@ func (tx *Reconfig) refTopic(c CID) (*topic, error) {
 }
 
 // AddTask stages a new task. The returned TID is final on commit; stage at
-// least one version with AddVersion before the transaction ends. When the
-// task table is full only because removed tasks are still draining, AddTask
-// waits for a slot to free.
+// least one version with AddVersion before the transaction ends.
 func (tx *Reconfig) AddTask(d TData) (TID, error) {
 	if err := validateTData(d); err != nil {
 		return -1, err
 	}
 	a := tx.a
-	for {
-		a.mu.Lock(tx.c)
-		id, err := tx.stageTaskLocked(d)
-		// A full table whose removed tasks are still draining (a removed
-		// task holds its slot until its queued and running jobs finish) is
-		// drain timing, not an oversized target: wait for a drain to free a
-		// slot, one scheduler period at a time, instead of failing. The
-		// wait ends as drains always do — every released job runs to
-		// completion, as Cleanup also relies on — and reconfigMu keeps
-		// every other transaction out meanwhile.
-		wait := errors.Is(err, ErrTooMany) && a.started.Load() && a.anyDrainingLocked()
-		a.mu.Unlock(tx.c)
-		if !wait {
-			return id, err
-		}
-		tx.c.Sleep(a.schedPeriodOr(time.Millisecond))
-	}
-}
-
-// stageTaskLocked reserves a slot for d and stages it. Caller holds a.mu.
-func (tx *Reconfig) stageTaskLocked(d TData) (TID, error) {
-	a := tx.a
+	a.mu.Lock(tx.c)
+	defer a.mu.Unlock(tx.c)
 	if id := a.taskIDByName(d.Name); id >= 0 {
 		st := a.tasks[id].state
 		if (st == taskRunning || st == taskAdmitted) && !tx.removeTasks[id] {
@@ -368,17 +346,6 @@ func (tx *Reconfig) stageTaskLocked(d TData) (TID, error) {
 	a.indexTaskName(t)
 	tx.addedTasks = append(tx.addedTasks, id)
 	return id, nil
-}
-
-// anyDrainingLocked reports whether some removed task is still draining.
-// Caller holds a.mu.
-func (a *App) anyDrainingLocked() bool {
-	for i := 0; i < a.ntasks; i++ {
-		if a.tasks[i].state == taskDraining {
-			return true
-		}
-	}
-	return false
 }
 
 // AddVersion stages an implementation for a task added in this transaction

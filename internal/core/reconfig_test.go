@@ -523,54 +523,3 @@ func reconfigureAllocs(t *testing.T, n int) (objs, bytes uint64) {
 	env.Wait()
 	return objs, bytes
 }
-
-// TestReconfigureChurnWaitsForDrainingSlots: a removed task whose job is
-// still queued holds its slot until the job runs. Closed-loop remove-one /
-// add-one transactions against a table one slot larger than the live set,
-// with the only worker held busy so drains lag, must not fail with
-// ErrTooMany: the target configuration always fits MaxTasks, so AddTask
-// waits for a drain to free a slot.
-func TestReconfigureChurnWaitsForDrainingSlots(t *testing.T) {
-	r := newRig(t, Config{Workers: 1, Priority: PriorityEDF, MaxTasks: 3}, nil)
-	declSpin(t, r.app, "hog", ms(10), ms(8))
-	declSpin(t, r.app, "churn0", ms(10), ms(1))
-	const rounds = 6
-	var commits int
-	r.runMain(t, ms(200), func(c rt.Ctx) {
-		for i := 1; i <= rounds; i++ {
-			c.SleepUntil(ms(2) + time.Duration(i)*ms(1))
-			err := r.app.Reconfigure(c, func(tx *Reconfig) error {
-				if err := tx.RemoveTaskByName(fmt.Sprintf("churn%d", i-1)); err != nil {
-					return err
-				}
-				id, err := tx.AddTask(TData{Name: fmt.Sprintf("churn%d", i), Period: ms(10)})
-				if err != nil {
-					return err
-				}
-				_, err = tx.AddVersion(id, spin(ms(1)), nil, VSelect{WCET: ms(1)})
-				return err
-			})
-			if err != nil {
-				t.Errorf("round %d: %v", i, err)
-				return
-			}
-			commits++
-		}
-	})
-	if commits != rounds {
-		t.Fatalf("%d of %d transactions committed", commits, rounds)
-	}
-	// Every removed incarnation drained and retired; the last one runs on.
-	retired := map[string]bool{}
-	for _, e := range r.app.Recorder().Retires() {
-		retired[e.Task] = true
-	}
-	for i := 0; i < rounds; i++ {
-		if name := fmt.Sprintf("churn%d", i); !retired[name] {
-			t.Errorf("%s never retired", name)
-		}
-	}
-	if st := r.app.Recorder().Task(fmt.Sprintf("churn%d", rounds)); st == nil || st.Jobs == 0 {
-		t.Errorf("last incarnation never ran: %+v", st)
-	}
-}
