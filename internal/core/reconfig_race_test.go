@@ -37,6 +37,8 @@ func TestReconfigureRaceOSEnv(t *testing.T) {
 	const nPub = 2
 	var stop atomic.Bool
 	var published [nPub]atomic.Int64
+	var pubsLeft atomic.Int64 // publishers that have not returned yet
+	pubsLeft.Store(nPub)
 	type entry struct{ pub, seq int }
 
 	for p := 0; p < nPub; p++ {
@@ -46,6 +48,7 @@ func TestReconfigureRaceOSEnv(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := app.VersionDecl(tid, func(x *ExecCtx, _ any) error {
+			defer pubsLeft.Add(-1)
 			seq := 0
 			for !stop.Load() {
 				if err := x.Publish(stream, entry{pub: p, seq: seq + 1}); err != nil {
@@ -73,34 +76,41 @@ func TestReconfigureRaceOSEnv(t *testing.T) {
 
 	var got [nPub]atomic.Int64
 	var fifoViolations atomic.Int64
+	var subDone, giveUp atomic.Bool
+	caughtUp := func() bool {
+		for p := 0; p < nPub; p++ {
+			if got[p].Load() != published[p].Load() {
+				return false
+			}
+		}
+		return true
+	}
 	subT, err := app.TaskDecl(TData{Name: "subscriber", Period: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := app.VersionDecl(subT, func(x *ExecCtx, _ any) error {
+		defer subDone.Store(true)
 		var last [nPub]int
-		emptyAfterStop := 0
 		for {
 			_, v, ok, err := x.TakeAny()
 			if err != nil {
 				return err
 			}
 			if !ok {
-				if stop.Load() {
-					// Publishers quiesced: two empty sweeps with a grace
-					// sleep between them mean the backlog (including the
-					// staging ring) is fully drained.
-					emptyAfterStop++
-					if emptyAfterStop >= 2 {
-						break
-					}
+				// An empty sweep proves nothing: a transient subscriber
+				// whose backlog is full holds the rest (in the buffer and
+				// the staging ring behind it) out of sight until its task
+				// retires. End once the publishers have returned and every
+				// entry they published arrived, or when the test gives up.
+				if giveUp.Load() || (pubsLeft.Load() == 0 && caughtUp()) {
+					break
 				}
 				if err := x.Sleep(200 * time.Microsecond); err != nil {
 					return err
 				}
 				continue
 			}
-			emptyAfterStop = 0
 			e := v.(entry)
 			if e.seq != last[e.pub]+1 {
 				fifoViolations.Add(1)
@@ -185,18 +195,10 @@ func TestReconfigureRaceOSEnv(t *testing.T) {
 		}
 		// Give the subscriber time to drain the tail before stopping.
 		deadline := c.Now() + 5*time.Second
-		for c.Now() < deadline {
-			done := true
-			for p := 0; p < nPub; p++ {
-				if got[p].Load() < published[p].Load() {
-					done = false
-				}
-			}
-			if done {
-				break
-			}
+		for !subDone.Load() && c.Now() < deadline {
 			c.Sleep(time.Millisecond)
 		}
+		giveUp.Store(true)
 		app.Stop(c)
 		app.Cleanup(c)
 	})

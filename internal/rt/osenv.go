@@ -60,6 +60,7 @@ func (e *OSEnv) Spawn(name string, core int, fn func(Ctx)) Thread {
 	go func() {
 		defer e.wg.Done()
 		defer t.done.Store(true)
+		defer t.kick.close()
 		if e.PinThreads && core >= 0 {
 			runtime.LockOSThread()
 			defer runtime.UnlockOSThread()
@@ -87,6 +88,7 @@ func (e *OSEnv) RunMain(fn func(Ctx)) {
 	t.unpark = make(chan struct{}, 1)
 	t.intr = make(chan struct{}, 1)
 	fn(&osCtx{env: e, th: t})
+	t.kick.close()
 	t.done.Store(true)
 }
 
@@ -100,6 +102,8 @@ type osThread struct {
 	// timer is Sleep's, created on first use and re-armed after: only the
 	// owning thread sleeps, and a scheduler tick must not allocate.
 	timer *time.Timer
+	// kick wakes an idle runtime when timer is due (kick_linux.go).
+	kick kick
 }
 
 func (t *osThread) Name() string     { return t.name }
@@ -144,11 +148,14 @@ func (c *osCtx) Sleep(d time.Duration) bool {
 	} else {
 		timer.Reset(d)
 	}
+	// Armed after the timer, so the kick never lands before it is due.
+	c.th.kick.arm(d)
 	select {
 	case <-timer.C:
 		return false
 	case <-c.th.intr:
 		timer.Stop()
+		c.th.kick.arm(0)
 		return true
 	}
 }
@@ -181,7 +188,9 @@ func (c *osCtx) pollInterrupt() bool {
 
 // Compute burns (or models) CPU time in slices, checking for the preemption
 // interrupt at every slice boundary — the cooperative analogue of signal
-// + swapcontext. Remaining work is returned on interrupt.
+// + swapcontext. A sleeping Compute (Spin off) sleeps each slice through
+// Sleep, so it also sees an interrupt within a slice. Remaining work is
+// returned on interrupt.
 func (c *osCtx) Compute(d time.Duration) (time.Duration, bool) {
 	slice := c.env.ComputeSlice
 	if slice <= 0 {
@@ -202,8 +211,8 @@ func (c *osCtx) Compute(d time.Duration) (time.Duration, bool) {
 		}
 		if c.env.Spin {
 			spinFor(step)
-		} else {
-			time.Sleep(step)
+		} else if c.Sleep(step) {
+			return max(time.Until(deadline), 0), true
 		}
 	}
 }

@@ -224,6 +224,7 @@ func TestOSEnvComputeInterrupted(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	th.Interrupt()
 	<-done
+	env.Wait()
 	if !intr {
 		t.Fatal("compute not interrupted")
 	}
@@ -245,6 +246,34 @@ func TestOSEnvSleepInterrupted(t *testing.T) {
 		t.Error("sleep not interrupted")
 	}
 	env.Wait()
+}
+
+// A sleeping Compute (Spin off) sleeps through Sleep, so an interrupt ends
+// it at once instead of after the current slice's timer has run out.
+func TestOSEnvComputeSleepingSeesInterruptAtOnce(t *testing.T) {
+	env := NewOSEnv()
+	env.Spin = false
+	var rem time.Duration
+	var intr bool
+	returned := make(chan time.Time, 1)
+	th := env.Spawn("t", UnpinnedCore, func(c Ctx) {
+		rem, intr = c.Compute(50 * time.Millisecond)
+		returned <- time.Now()
+	})
+	time.Sleep(5 * time.Millisecond)
+	sent := time.Now()
+	th.Interrupt()
+	late := (<-returned).Sub(sent)
+	env.Wait()
+	if !intr {
+		t.Fatal("compute not interrupted")
+	}
+	if rem <= 0 || rem >= 50*time.Millisecond {
+		t.Errorf("remaining = %v, want in (0, 50ms)", rem)
+	}
+	if late > time.Millisecond {
+		t.Errorf("compute returned %v after the interrupt, want within 1ms", late)
+	}
 }
 
 // Sleep re-arms one timer per thread: it allocates nothing once the thread
