@@ -325,7 +325,7 @@ func (a *App) releaseInstanceLocked(c rt.Ctx, inst HID, j *job) {
 		wsh.mu.Unlock()
 		if a.claimIdle(ww) {
 			c.Charge(a.env.Costs().DispatchIPI)
-			ww.th.Unpark()
+			ww.wake()
 		} else if preemptFib != nil {
 			a.signalFiber(c, preemptFib)
 		}

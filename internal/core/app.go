@@ -75,9 +75,6 @@ type App struct {
 	jobsLive    atomic.Int64
 
 	workers []*workerState
-	fibers  []*fiber
-	// Fiber recycling uses the same lock-free freelist scheme as jobs.
-	freeFibHead atomic.Uint64
 
 	// Release shards (ready queue + release heap behind one leaf lock; see
 	// releaseShard): one shared by every worker under the global mapping,
@@ -121,14 +118,13 @@ type App struct {
 	signalsDeduped atomic.Int64
 	viewPublishes  atomic.Int64
 
-	started       atomic.Bool
-	stopping      atomic.Bool
-	terminating   atomic.Bool
-	liveThreads   atomic.Int64
-	workersLive   atomic.Int64
-	schedLive     atomic.Int64
-	fibersSpawned bool
-	schedTh       rt.Thread
+	started     atomic.Bool
+	stopping    atomic.Bool
+	terminating atomic.Bool
+	liveThreads atomic.Int64
+	workersLive atomic.Int64
+	schedLive   atomic.Int64
+	schedTh     rt.Thread
 
 	// Live-reconfiguration state. Slot freelists recycle the fixed tables
 	// across retire/admit cycles so mode ping-pong never exhausts the
@@ -235,8 +231,6 @@ func New(cfg Config, env rt.Env) (*App, error) {
 			shard:     a.shards[i%nq],
 		}
 	}
-	nfib := cfg.Workers + cfg.MaxPendingJobs
-	a.fibers = make([]*fiber, nfib)
 	a.Init()
 	return a, nil
 }
@@ -984,14 +978,12 @@ func resetJob(j *job, idx int) {
 	j.fib = nil
 	j.worker.Store(-1)
 	j.preempts = 0
-	j.started, j.fnDone = false, false
 	j.start, j.computed = 0, 0
 	j.err = nil
 	j.poolIdx = idx
 	j.heapIdx = -1
 	j.shardIdx.Store(-1)
 	j.fastSel, j.fastPath = false, false
-	j.pendingCharge = 0
 }
 
 // pushFreeJob returns a job slot to the lock-free pool freelist. The slot

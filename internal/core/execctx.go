@@ -17,7 +17,6 @@ type ExecCtx struct {
 	app *App
 	j   *job
 	c   rt.Ctx
-	f   *fiber
 }
 
 // Now returns the current time (virtual or wall-clock, per environment).
@@ -82,8 +81,8 @@ func (x *ExecCtx) Compute(d time.Duration) error {
 // suspendForPreemption is called when the fiber received the preemption
 // signal mid-Compute. Under the worker's shard lock it re-checks that a
 // more urgent job is actually waiting at the head of the worker's queue
-// (the signal may be stale); if so it hands the worker back, parks, and
-// returns when the worker resumes this job. Returns false on termination.
+// (the signal may be stale); if so it suspends the job and returns when
+// the worker resumes it. Returns false on termination.
 func (x *ExecCtx) suspendForPreemption() bool {
 	a := x.app
 	if a.terminating.Load() {
@@ -99,25 +98,21 @@ func (x *ExecCtx) suspendForPreemption() bool {
 		sh.mu.Unlock()
 		return true
 	}
-	w.wakeReason = wakeSuspended
-	w.wakeJob = j
+	j.preempts++
+	w.stackLocked(j, jobPreempted)
 	sh.mu.Unlock()
-	c := a.env.Costs()
-	x.c.Charge(c.ContextSwitch)
-	w.th.Unpark()
-	// Stay suspended until the worker genuinely resumes us (Park returns
-	// false). Interrupted parks are stale preemption signals: a scheduler
-	// may signal the same fiber more than once per tick and the extras
-	// coalesce as pending interrupts — they must not self-resume the job.
-	for {
-		intr := x.c.Park()
-		if !intr {
-			return true
-		}
-		if a.terminating.Load() {
-			return false
-		}
-	}
+	x.c.Charge(a.env.Costs().ContextSwitch)
+	return x.handOff(w)
+}
+
+// handOff passes the suspended job's worker to a spare fiber and parks the
+// job's own fiber until a worker resumes the job. The caller stacked the
+// job (stackLocked) and charged any switch cost. False on termination.
+func (x *ExecCtx) handOff(w *workerState) bool {
+	a := x.app
+	f := x.j.fib
+	a.handTo(w, a.spare(w))
+	return a.awaitResume(x.c, f)
 }
 
 // AccelSection executes the accelerator-bound part of the version: d of
@@ -210,18 +205,16 @@ func (x *ExecCtx) AccelSectionOn(h HID, d time.Duration) error {
 		j.nested = inst
 		a.mu.Unlock(x.c)
 	} else {
-		// Park mid-job: hand the worker back (it runs other jobs meanwhile)
+		// Park mid-job: hand the worker on (it runs other jobs meanwhile)
 		// and wait for a direct grant from a releasing holder. The state
-		// flip and the worker handshake go under the shard lock (App.mu is
-		// held too — rank 2 -> 3): preemption scans read cur.state under the
+		// flip and the stack push go under the shard lock (App.mu is held
+		// too — rank 2 -> 3): preemption scans read cur.state under the
 		// shard lock alone, and a releasing holder's direct grant flips
 		// jobAccelWait -> jobAccelResumed under the same pair.
 		w := a.workers[j.worker.Load()]
 		sh := w.shard
 		sh.mu.Lock()
-		j.state.Store(jobAccelWait)
-		w.wakeReason = wakeAsyncFree
-		w.wakeJob = j
+		w.stackLocked(j, jobAccelWait)
 		sh.mu.Unlock()
 		j.waitingOn = head
 		j.midWait = true
@@ -230,17 +223,9 @@ func (x *ExecCtx) AccelSectionOn(h HID, d time.Duration) error {
 		a.boostChainLocked(x.c, head, j.effPrio.Load())
 		a.mu.Unlock(x.c)
 		x.c.Charge(a.env.Costs().ContextSwitch)
-		w.th.Unpark()
-		// Park until a worker resumes us after the grant; stale preemption
-		// interrupts must not self-resume the job.
-		for {
-			intr := x.c.Park()
-			if !intr {
-				break
-			}
-			if a.terminating.Load() {
-				return ErrTerminated
-			}
+		// A worker resumes us after the grant.
+		if !x.handOff(w) {
+			return ErrTerminated
 		}
 		inst = j.nested
 	}
@@ -273,21 +258,19 @@ func (x *ExecCtx) asyncAccelSection(scaled, nominal time.Duration) error {
 	return x.rejoinWorker()
 }
 
-// detachedWait hands the CPU worker back (wakeAsyncFree) and waits out d on
-// the fiber, off any CPU. Stale preemption interrupts must not shorten the
-// wait: the sleep is re-armed until the full duration elapsed. The caller
-// must rejoinWorker() before touching middleware state again.
+// detachedWait hands the CPU worker to a spare fiber and waits out d on the
+// job's own fiber, off any CPU. Stale preemption interrupts must not
+// shorten the wait: the sleep is re-armed until the full duration elapsed.
+// The caller must rejoinWorker() before touching middleware state again.
 func (x *ExecCtx) detachedWait(d time.Duration) error {
 	a := x.app
 	j := x.j
 	w := a.workers[j.worker.Load()]
 	sh := w.shard
 	sh.mu.Lock()
-	j.state.Store(jobAccelAsync)
-	w.wakeReason = wakeAsyncFree
-	w.wakeJob = j
+	w.stackLocked(j, jobAccelAsync)
 	sh.mu.Unlock()
-	w.th.Unpark()
+	a.handTo(w, a.spare(w))
 
 	until := x.c.Now() + d
 	for x.c.Now() < until {
@@ -321,21 +304,15 @@ func (x *ExecCtx) rejoinWorker() error {
 	}
 	sh.mu.Unlock()
 	if a.claimIdle(w) {
-		w.th.Unpark()
+		w.wake()
 	} else if preemptFiber != nil {
 		x.c.Charge(a.env.Costs().SignalDeliver)
 		preemptFiber.Interrupt()
 	}
-	// Until the worker resumes us; stale interrupts must not self-resume.
-	for {
-		intr := x.c.Park()
-		if !intr {
-			return nil
-		}
-		if a.terminating.Load() {
-			return ErrTerminated
-		}
+	if !a.awaitResume(x.c, j.fib) {
+		return ErrTerminated
 	}
+	return nil
 }
 
 // Sleep suspends the job for at least d of virtual or wall-clock time
@@ -352,9 +329,8 @@ func (x *ExecCtx) Sleep(d time.Duration) error {
 		return nil
 	}
 	if x.app.cfg.Mapping == MappingOffline {
-		// Time-triggered dispatch has no detach/rejoin handshake (the
-		// dispatcher treats any fiber wake as completion) and the table
-		// slot belongs to this job anyway: wait in place.
+		// Time-triggered dispatch has no suspended stack to rejoin, and
+		// the table slot belongs to this job anyway: wait in place.
 		until := x.c.Now() + d
 		for x.c.Now() < until {
 			if intr := x.c.SleepUntil(until); intr && x.app.terminating.Load() {

@@ -66,10 +66,11 @@ func (t *OfflineTable) validate(a *App) error {
 // offlineWorkerLoop is the on-line dispatcher for off-line schedules
 // (Figure 1c): each worker walks its release-time-ordered entry list,
 // waiting out the pre-computed delay slots, and runs each job to completion
-// without preemption. Heterogeneous resource management was resolved by the
-// off-line scheduler, so no accelerator arbitration happens here.
-func (a *App) offlineWorkerLoop(c rt.Ctx, w *workerState) {
-	defer a.threadExit()
+// without preemption, on the fiber f carrying the worker. Heterogeneous
+// resource management was resolved by the off-line scheduler, so no
+// accelerator arbitration happens here, and no job ever suspends.
+func (a *App) offlineWorkerLoop(c rt.Ctx, f *fiber) {
+	w := f.w
 	costs := a.env.Costs()
 	entries := a.offTable.PerWorker[w.idx]
 	if len(entries) == 0 {
@@ -92,13 +93,15 @@ func (a *App) offlineWorkerLoop(c rt.Ctx, w *workerState) {
 			if a.stopping.Load() || a.terminating.Load() {
 				return
 			}
-			a.runOfflineEntry(c, w, e, release)
+			a.runOfflineEntry(c, f, e, release)
 		}
 	}
 }
 
-// runOfflineEntry executes one table slot on this worker.
-func (a *App) runOfflineEntry(c rt.Ctx, w *workerState, e *TableEntry, release time.Duration) {
+// runOfflineEntry executes one table slot on the worker f carries, running
+// the body inline.
+func (a *App) runOfflineEntry(c rt.Ctx, f *fiber, e *TableEntry, release time.Duration) {
+	w := f.w
 	costs := a.env.Costs()
 	a.mu.Lock(c)
 	t := &a.tasks[e.Task]
@@ -123,7 +126,6 @@ func (a *App) runOfflineEntry(c rt.Ctx, w *workerState, e *TableEntry, release t
 	j.effPrio.Store(j.basePrio)
 	j.state.Store(jobRunning)
 	j.worker.Store(int32(w.idx))
-	j.started = true
 	j.start = c.Now()
 	// Accelerator bookkeeping (no arbitration: the table guarantees
 	// exclusivity, we only track occupancy for AccelBusy observers).
@@ -133,43 +135,12 @@ func (a *App) runOfflineEntry(c rt.Ctx, w *workerState, e *TableEntry, release t
 		ac.holder = j
 		j.accel = h
 	}
-	// Bind a fiber (lock-free Treiber pool; sized so exhaustion is
-	// structurally impossible, dropped defensively).
-	f := a.allocFib()
-	if f == nil {
-		a.overruns.Add(1)
-		a.freeJobLocked(c, j)
-		a.mu.Unlock(c)
-		return
-	}
-	f.job = j
-	j.fib = f
 	w.current = j
 	a.mu.Unlock(c)
 
 	c.Charge(costs.ContextSwitch)
-	f.th.SetCore(w.core)
-	f.th.Unpark()
-	// The fiber notifies completion under the worker's shard lock (the same
-	// handshake as the online dispatcher).
-	sh := w.shard
-	for {
-		intr := c.Park()
-		if intr && a.terminating.Load() {
-			return
-		}
-		sh.mu.Lock()
-		reason := w.wakeReason
-		w.wakeReason = wakeNone
-		w.wakeJob = nil
-		sh.mu.Unlock()
-		if reason != wakeNone {
-			break
-		}
-		if a.terminating.Load() {
-			return
-		}
-	}
+	f.ectx = ExecCtx{app: a, j: j, c: c}
+	j.err = runBody(&f.ectx, &t.versions[e.Version])
 	now := c.Now()
 	a.recordTaskError(j.err)
 	a.mu.Lock(c)
@@ -196,9 +167,6 @@ func (a *App) runOfflineEntry(c rt.Ctx, w *workerState, e *TableEntry, release t
 		Missed:   now > j.absDL,
 	})
 	a.accountEnergy(j, heldInst)
-	f.job = nil
-	j.fib = nil
-	a.pushFreeFib(f)
 	a.freeJobLocked(c, j)
 	w.current = nil
 	a.mu.Unlock(c)

@@ -1222,6 +1222,7 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 		sh.mu.Unlock()
 		t.live.Store(0)
 		t.draining.Store(false)
+		a.rec.Declare(t.d.Name)
 		rec.Admitted = append(rec.Admitted, t.d.Name)
 	}
 	// Staged topics go live; staged endpoints register. New subscribers

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/yasmin-rt/yasmin/internal/platform"
@@ -18,8 +17,9 @@ type slowRelease struct {
 	rel time.Duration
 }
 
-// Start begins executing the task set — yas_start. It spawns the worker
-// threads (and, for online mappings, the dedicated scheduler thread) and
+// Start begins executing the task set — yas_start. It hands each worker to
+// a fiber (a spare from an earlier run, or a new one pinned to the worker's
+// core), spawns the dedicated scheduler thread for online mappings, and
 // returns immediately; call it from a thread context (ctx) of the same
 // environment. A stopped App can be started again after altering the task
 // set (multi-mode scheduling).
@@ -73,6 +73,7 @@ func (a *App) Start(c rt.Ctx) error {
 			continue
 		}
 		t.state = taskRunning
+		a.rec.Declare(t.d.Name)
 		t.nextRelease = a.startTime + t.d.ReleaseOffset
 		t.lastActivation = 0
 		t.everActivated = false
@@ -106,8 +107,6 @@ func (a *App) Start(c rt.Ctx) error {
 	for _, w := range a.workers {
 		w.current = nil
 		w.preempted = w.preempted[:0]
-		w.wakeReason = wakeNone
-		w.wakeJob = nil
 		w.onIdle = false
 		w.idlePrev, w.idleNext = nil, nil
 		w.pendingCost = 0
@@ -117,40 +116,9 @@ func (a *App) Start(c rt.Ctx) error {
 	// Publish the epoch-0 scheduling snapshot for lock-free readers.
 	a.publishViewLocked()
 
-	// Spawn fibers (execution contexts, preallocated as the paper's
-	// swapcontext stacks are). Fibers survive Stop/Start cycles; Cleanup
-	// terminates them. The freelist is rebuilt each run: all fibers idle.
-	a.freeFibHead.Store(0)
-	if !a.fibersSpawned {
-		a.fibersSpawned = true
-		for i := len(a.fibers) - 1; i >= 0; i-- {
-			f := &fiber{idx: i, app: a}
-			a.fibers[i] = f
-			a.liveThreads.Add(1)
-			f.th = a.env.Spawn("yas-fiber-"+strconv.Itoa(i), rt.UnpinnedCore, f.loop)
-			a.pushFreeFib(f)
-		}
-	} else {
-		for i := len(a.fibers) - 1; i >= 0; i-- {
-			a.pushFreeFib(a.fibers[i])
-		}
-	}
-	// Spawn workers.
 	for _, w := range a.workers {
-		w := w
-		a.liveThreads.Add(1)
 		a.workersLive.Add(1)
-		if a.cfg.Mapping == MappingOffline {
-			w.th = a.env.Spawn(fmt.Sprintf("yas-worker-%d", w.idx), w.core, func(tc rt.Ctx) {
-				defer a.workersLive.Add(-1)
-				a.offlineWorkerLoop(tc, w)
-			})
-		} else {
-			w.th = a.env.Spawn(fmt.Sprintf("yas-worker-%d", w.idx), w.core, func(tc rt.Ctx) {
-				defer a.workersLive.Add(-1)
-				a.workerLoop(tc, w)
-			})
-		}
+		a.handTo(w, a.spare(w))
 	}
 	// Spawn the scheduler thread on its private core (online mappings).
 	if a.cfg.Mapping != MappingOffline {
@@ -200,13 +168,7 @@ func (a *App) Cleanup(c rt.Ctx) {
 	}
 	a.terminating.Store(true)
 	for _, w := range a.workers {
-		if w.th != nil {
-			w.th.Interrupt()
-			w.th.Unpark()
-		}
-	}
-	for _, f := range a.fibers {
-		if f != nil && f.th != nil {
+		for _, f := range w.fibers {
 			f.th.Interrupt()
 			f.th.Unpark()
 		}
@@ -214,12 +176,14 @@ func (a *App) Cleanup(c rt.Ctx) {
 	for a.liveThreads.Load() > 0 {
 		c.Sleep(100 * time.Microsecond)
 	}
+	for _, w := range a.workers {
+		w.fibers, w.spares = nil, nil
+	}
 	// Every middleware thread is gone; serialise the final teardown against
 	// reconfiguration transactions (which read schedTh to nudge the
 	// scheduler).
 	a.reconfigMu.Lock(c)
 	a.started.Store(false)
-	a.fibersSpawned = false
 	a.schedTh = nil
 	a.reconfigMu.Unlock(c)
 }
@@ -523,7 +487,7 @@ func (a *App) dispatch(c rt.Ctx) {
 			if a.claimIdle(w) {
 				a.idleWakes.Add(1)
 				c.Charge(costs.DispatchIPI)
-				w.th.Unpark()
+				w.wake()
 			} else if a.cfg.Preemption {
 				a.preemptShard(c, w, tick)
 			}
@@ -548,7 +512,7 @@ func (a *App) dispatch(c rt.Ctx) {
 			woken++
 			want--
 			a.idleWakes.Add(1)
-			w.th.Unpark()
+			w.wake()
 		}
 		if woken > 0 {
 			c.Charge(time.Duration(woken) * costs.DispatchIPI)

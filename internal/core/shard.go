@@ -169,9 +169,7 @@ func (a *App) unlinkIdleLocked(w *workerState) {
 // context, including under a shard lock.
 func (a *App) wakeAllWorkers() {
 	for _, w := range a.workers {
-		if w.th != nil {
-			w.th.Unpark()
-		}
+		w.wake()
 	}
 }
 

@@ -51,9 +51,9 @@ type TData struct {
 	Sporadic bool
 }
 
-// TaskFunc is a task version's entry point. It runs on a job fiber; all
-// interaction with time, channels and accelerators goes through the ExecCtx.
-// args carries the static argument registered at VersionDecl.
+// TaskFunc is a task version's entry point. It runs on its worker's fiber;
+// all interaction with time, channels and accelerators goes through the
+// ExecCtx. args carries the static argument registered at VersionDecl.
 type TaskFunc func(x *ExecCtx, args any) error
 
 // VSelect carries a version's extra-functional properties; which fields
@@ -328,11 +328,9 @@ type job struct {
 	// (requeued for a fresh version-selection pass on release).
 	waitingOn HID
 	midWait   bool
-	fib       *fiber
+	fib       *fiber       // the fiber the job runs or is suspended on
 	worker    atomic.Int32 // executing worker index, -1 otherwise
 	preempts  int
-	started   bool
-	fnDone    bool // version function returned (set by the fiber)
 	start     time.Duration
 	computed  time.Duration // accumulated Compute time (energy accounting)
 	err       error
@@ -348,10 +346,6 @@ type job struct {
 	// release time (stable for the job's lifetime without further locking).
 	fastSel  bool
 	fastPath bool
-	// pendingCharge is dispatch bookkeeping cost (context switch, queue ops)
-	// the worker defers to the fiber, which lazily folds it into the job
-	// body's first timed primitive.
-	pendingCharge time.Duration
 	// nextFree links the job into the lock-free pool freelist; atomic so a
 	// racing allocator's stale read of a just-pushed slot is well-defined
 	// (the CAS generation check discards the value).

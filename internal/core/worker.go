@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -9,32 +10,29 @@ import (
 	"github.com/yasmin-rt/yasmin/internal/trace"
 )
 
-// workerWake tells a worker why its fiber woke it.
-type workerWake int
-
-const (
-	wakeNone workerWake = iota
-	wakeCompleted
-	wakeSuspended // preemption signal accepted: job parked on the fiber
-	wakeAsyncFree // job entered an asynchronous accelerator section
-)
-
-// workerState is one virtual CPU (Figure 1): a thread pinned to a shielded
-// core executing jobs, with a stack of preempted jobs. The worker pops its
-// ready queue from shard: the one shared shard under the global mapping, its
-// own under partitioned and offline. The handshake fields (current,
-// preempted, wakeReason, wakeJob, lastSignalTick) are guarded by that
-// shard's lock, the idle-list links by idleMu, and pendingCost is
-// worker-thread private.
+// workerState is one virtual CPU (Figure 1): a worker pinned to a shielded
+// core executing jobs, with a stack of suspended jobs. The worker is carried
+// by one fiber at a time (fib): a thread pinned to the worker's core that
+// runs the worker loop and each fresh job's body inline. A job that
+// suspends keeps its fiber and hands the worker to a spare; resuming it
+// hands the worker back (see fiber). The worker pops its ready queue from
+// shard: the one shared shard under the global mapping, its own under
+// partitioned and offline. current, preempted and lastSignalTick are
+// guarded by that shard's lock, the idle-list links by idleMu; pendingCost,
+// spares and fibers belong to the fiber carrying the worker.
 type workerState struct {
-	idx        int
-	core       int
-	th         rt.Thread
-	shard      *releaseShard
-	current    *job
-	preempted  []*job // LIFO of suspended jobs (incl. async-resumed ones)
-	wakeReason workerWake
-	wakeJob    *job // the job the notification refers to (debug invariant)
+	idx       int
+	core      int
+	shard     *releaseShard
+	current   *job
+	preempted []*job // suspended jobs (incl. async-resumed ones)
+
+	// fib is the fiber carrying the worker; nil between runs. spares are
+	// this worker's parked spare fibers, fibers every fiber spawned for it
+	// (Cleanup terminates them).
+	fib    atomic.Pointer[fiber]
+	spares []*fiber
+	fibers []*fiber
 
 	// Intrusive idle-list links (guarded by idleMu). List membership is the
 	// single source of truth for idleness; see enqueueIdle/claimIdle.
@@ -55,6 +53,15 @@ type workerState struct {
 	// slices used by the lock-free selection fast path (selectVersionFast).
 	vselOrder []VID
 	vselRest  []VID
+}
+
+// wake unparks the fiber carrying w (idle-list claims, stop, drain). A
+// token that lands on a fiber which has since handed the worker on is a
+// stray wake: awaitResume re-checks and parks again.
+func (w *workerState) wake() {
+	if f := w.fib.Load(); f != nil {
+		f.th.Unpark()
+	}
 }
 
 // stackTop returns the most urgent resumable job on the worker's stack
@@ -78,21 +85,33 @@ func (w *workerState) stackTop() (int, *job) {
 	return bestIdx, best
 }
 
+// stackLocked suspends j off the CPU in state st: it joins the worker's
+// stack and stops being the current job. The caller holds w's shard lock
+// and then hands the worker to a spare fiber.
+func (w *workerState) stackLocked(j *job, st jobState) {
+	j.state.Store(st)
+	w.preempted = append(w.preempted, j)
+	w.current = nil
+}
+
 func (w *workerState) removeStack(i int) {
 	w.preempted = append(w.preempted[:i], w.preempted[i+1:]...)
 }
 
-// workerLoop is the online-scheduling worker body: pick the most urgent of
-// (queue head, preempted stack), run or resume the job, handle
-// completion/suspension, park when idle. App.mu never appears on this loop's
-// steady path — only the worker's shard lock.
-func (a *App) workerLoop(c rt.Ctx, w *workerState) {
-	defer a.threadExit()
+// workerLoop is the online-scheduling worker body, run by the fiber f
+// carrying the worker: pick the most urgent of (queue head, suspended
+// stack), run a fresh job's body right here or hand the worker to a
+// suspended job's own fiber, park when idle. It returns true when it handed
+// the worker on (f then parks as a spare), false when the worker retired
+// or the App terminates. App.mu never appears on this loop's steady path —
+// only the worker's shard lock.
+func (a *App) workerLoop(c rt.Ctx, f *fiber) bool {
+	w := f.w
 	costs := a.env.Costs()
 	sh := w.shard
 	for {
 		if a.terminating.Load() {
-			return
+			return false
 		}
 		j, fresh := a.takeWork(w, sh)
 		if j == nil {
@@ -109,7 +128,7 @@ func (a *App) workerLoop(c rt.Ctx, w *workerState) {
 				tk := a.ticking.Load()
 				if tk%2 == 0 && a.jobsLive.Load() == 0 && a.ticking.Load() == tk {
 					a.wakeAllWorkers()
-					return
+					return false
 				}
 			}
 			// Publish idleness, then re-check for work that raced the
@@ -127,7 +146,7 @@ func (a *App) workerLoop(c rt.Ctx, w *workerState) {
 				}
 				if intr && a.terminating.Load() {
 					a.claimIdle(w)
-					return
+					return false
 				}
 			}
 			// Self-claim on any wake: exactly one of (dispatch, self) wins
@@ -141,81 +160,62 @@ func (a *App) workerLoop(c rt.Ctx, w *workerState) {
 		if fresh && !a.prepareRun(c, w, j) {
 			continue
 		}
-		// Run handshake under the shard lock: state and owner.
+		// Run handshake under the shard lock: state and owner. A fresh job
+		// starts now, on this fiber, so preemption signals target it here.
 		sh.mu.Lock()
-		newRun := j.state.Load() == jobReady
 		j.worker.Store(int32(w.idx))
 		j.state.Store(jobRunning)
 		w.current = j
+		if fresh {
+			j.fib = f
+			j.start = c.Now()
+		}
 		sh.mu.Unlock()
-		fib := j.fib
-
-		// Context switch to the job's fiber (swapcontext analogue). For a
-		// fresh run the switch cost (plus any accumulated queue-op cost)
-		// rides lazily on the fiber's first Compute; resumes charge inline
-		// (the fiber re-enters mid-body, not at its loop top).
-		if newRun {
-			j.pendingCharge = w.pendingCost + costs.ContextSwitch
-			w.pendingCost = 0
-		} else {
-			cost := costs.ContextSwitch + w.pendingCost
-			w.pendingCost = 0
-			c.Charge(cost)
+		// The context switch (swapcontext analogue) plus any accumulated
+		// queue-op cost: a fresh run's rides lazily on the body's first
+		// Compute; a resume pays it inline, before the handover.
+		cost := costs.ContextSwitch + w.pendingCost
+		w.pendingCost = 0
+		if fresh {
+			c.ChargeLazy(cost)
+			a.runJob(c, f, j)
+			continue
 		}
-		fib.th.SetCore(w.core)
-		fib.th.Unpark()
-		// Wait for the fiber's notification; tolerate spurious unparks
-		// (they would otherwise corrupt the completion handshake).
-		var reason workerWake
-		for {
-			intr := c.Park()
-			if intr && a.terminating.Load() {
-				return
-			}
-			sh.mu.Lock()
-			reason = w.wakeReason
-			if reason != wakeNone {
-				break // handle below, still holding sh.mu
-			}
-			sh.mu.Unlock()
-			if a.terminating.Load() {
-				return
-			}
-		}
-		w.wakeReason = wakeNone
-		if w.wakeJob != j {
-			wj := "<nil>"
-			if w.wakeJob != nil {
-				wj = fmt.Sprintf("%s(seq %d, state %d, fnDone %v)", w.wakeJob.name, w.wakeJob.seq, w.wakeJob.state.Load(), w.wakeJob.fnDone)
-			}
-			panic(fmt.Sprintf("worker %d: notification for %s but dispatched %s(seq %d) reason=%d",
-				w.idx, wj, j.name, j.seq, reason))
-		}
-		w.wakeJob = nil
-		switch reason {
-		case wakeCompleted:
-			w.current = nil
-			sh.mu.Unlock()
-			// Completion bookkeeping runs with no shard lock held: the fast
-			// path is lock-free, the slow path takes App.mu (rank 2 < 3).
-			a.completeJob(c, w, j)
-		case wakeSuspended:
-			j.state.Store(jobPreempted)
-			j.preempts++
-			w.preempted = append(w.preempted, j)
-			w.current = nil
-			sh.mu.Unlock()
-		case wakeAsyncFree:
-			// Job computes on the accelerator; the worker is free. The
-			// fiber re-attaches through the preempted stack when done.
-			w.preempted = append(w.preempted, j)
-			w.current = nil
-			sh.mu.Unlock()
-		default:
-			sh.mu.Unlock()
-			panic(fmt.Sprintf("worker %d: unknown wake reason %d", w.idx, reason))
-		}
+		c.Charge(cost)
+		w.spares = append(w.spares, f)
+		a.handTo(w, j.fib)
+		return true
 	}
+}
+
+// runJob runs a fresh job's body on fiber f and completes it. The body may
+// suspend (then f parks inside it while a spare carries the worker); by the
+// time it returns, f carries the worker again.
+func (a *App) runJob(c rt.Ctx, f *fiber, j *job) {
+	w := f.w
+	f.ectx = ExecCtx{app: a, j: j, c: c}
+	j.err = runBody(&f.ectx, &j.t.versions[j.version])
+	sh := w.shard
+	sh.mu.Lock()
+	w.current = nil
+	sh.mu.Unlock()
+	// Completion bookkeeping runs with no shard lock held: the fast path is
+	// lock-free, the slow path takes App.mu (rank 2 < 3).
+	a.completeJob(c, w, j)
+}
+
+// runBody calls version v's function for x's job. A panic in the body costs
+// that job only: it becomes the job's error, counted like any other task
+// error, and the job completes through the normal path (held accelerators
+// released, PIP boosts restored). The online loop and the offline
+// dispatcher are the only two places a body runs.
+func runBody(x *ExecCtx, v *version) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: task %s panicked: %v", x.j.name, r)
+		}
+	}()
+	return v.fn(x, v.args)
 }
 
 // takeWork pops the most urgent of (queue head, preempted stack) under the
@@ -271,18 +271,15 @@ func (a *App) workVisible(w *workerState, sh *releaseShard) bool {
 	return st != nil || sh.nready.Load() > 0
 }
 
-// prepareRun selects the version, acquires the accelerator (possibly parking
-// the job on its waitlist with PIP) and binds a fiber. Returns false when
-// the job was parked (or dropped) instead of made runnable. Runs with no
+// prepareRun selects the version of a fresh job and acquires its
+// accelerator (possibly parking the job on its waitlist with PIP). Returns
+// false when the job was parked instead of made runnable. Runs with no
 // locks held: the selection fast path (no accelerator-bound versions,
 // non-user policy) stays lock-free; everything else takes App.mu.
 func (a *App) prepareRun(c rt.Ctx, w *workerState, j *job) bool {
-	if st := j.state.Load(); st == jobAccelResumed || st == jobPreempted {
-		return true // resuming: version and fiber already bound
-	}
 	if j.fastSel {
 		j.version = a.selectVersionFast(c, w, j)
-		return a.bindFiber(c, j)
+		return true
 	}
 	a.mu.Lock(c)
 	vid, blockedOn := a.selectVersion(c, j)
@@ -306,25 +303,6 @@ func (a *App) prepareRun(c rt.Ctx, w *workerState, j *job) bool {
 		j.accel = inst
 	}
 	a.mu.Unlock(c)
-	return a.bindFiber(c, j)
-}
-
-// bindFiber attaches a free execution context to a fresh job — lock-free
-// (Treiber pool). Returns false when the pool is exhausted, which is
-// structurally impossible (pool >= workers + jobs); dropped defensively.
-func (a *App) bindFiber(c rt.Ctx, j *job) bool {
-	f := a.allocFib()
-	if f == nil {
-		a.overruns.Add(1)
-		a.freeJob(c, j)
-		return false
-	}
-	f.job = j
-	j.fib = f
-	if !j.started {
-		j.started = true
-		j.start = c.Now()
-	}
 	return true
 }
 
@@ -333,10 +311,6 @@ func (a *App) bindFiber(c rt.Ctx, j *job) bool {
 // Called with no locks held. Isolated jobs (no graph edges, no accelerator)
 // take the lock-free fast path; everything else takes App.mu.
 func (a *App) completeJob(c rt.Ctx, w *workerState, j *job) {
-	if !j.fnDone || j.state.Load() != jobRunning || (j.fib != nil && j.fib.job != j) {
-		panic(fmt.Sprintf("completeJob: job %q fnDone=%v state=%d fib-job-match=%v worker=%d/%d",
-			j.name, j.fnDone, j.state.Load(), j.fib == nil || j.fib.job == j, j.worker.Load(), w.idx))
-	}
 	if j.fastPath && j.accel == NoAccel && j.nested == NoAccel {
 		a.completeJobFast(c, w, j)
 		return
@@ -385,12 +359,6 @@ func (a *App) completeJob(c rt.Ctx, w *workerState, j *job) {
 	a.recordCompletion(j, w, now, accelName,
 		len(j.t.inEdges) > 0 && len(j.t.outEdges) == 0)
 	a.accountEnergy(j, heldInst)
-	// Recycle fiber and job.
-	if f := j.fib; f != nil {
-		j.fib = nil
-		f.job = nil
-		a.pushFreeFib(f)
-	}
 	a.freeJobLocked(c, j)
 	a.mu.Unlock(c)
 	if moreWork {
@@ -408,11 +376,6 @@ func (a *App) completeJobFast(c rt.Ctx, w *workerState, j *job) {
 	j.effPrio.Store(j.basePrio)
 	a.recordCompletion(j, w, now, "", false)
 	a.accountEnergy(j, NoAccel)
-	if f := j.fib; f != nil {
-		j.fib = nil
-		f.job = nil
-		a.pushFreeFib(f)
-	}
 	a.freeJob(c, j)
 }
 
@@ -507,95 +470,87 @@ func (a *App) accountEnergy(j *job, accel HID) {
 	}
 }
 
-// fiber is a preallocated execution context for one job at a time — the
-// analogue of the paper's swapcontext stacks. The fiber thread parks until a
-// worker hands it a job, runs the selected version function, then notifies
-// the worker. Fibers recycle through the same lock-free Treiber freelist
-// scheme as jobs.
+// fiber is an execution context bound to one worker — the analogue of the
+// paper's swapcontext stacks, except that a goroutine already is a stack,
+// so fibers are spawned on need rather than preallocated. The fiber
+// carrying its worker (w.fib == f) runs the worker loop and each fresh
+// job's body inline. A job that suspends (preemption, a mid-job accelerator
+// park, an asynchronous section or Sleep) stays on its fiber and hands the
+// worker to one of the worker's parked spares, spawned on first need;
+// resuming the job hands the worker back, and the handing fiber parks as a
+// spare. Spares survive Stop/Start; Cleanup terminates them. Without
+// suspensions a worker runs on exactly one fiber.
 type fiber struct {
-	idx      int
-	app      *App
-	th       rt.Thread
-	job      *job
-	nextFree atomic.Int32
+	app *App
+	w   *workerState
+	th  rt.Thread
 	// ectx is the reusable execution context handed to version functions:
 	// one fiber runs one job at a time, so reusing it keeps the dispatch
 	// path allocation-free even though the pointer escapes into user code.
 	ectx ExecCtx
 }
 
-// pushFreeFib returns a fiber to the lock-free pool freelist.
-//
-//yasmin:noalloc
-func (a *App) pushFreeFib(f *fiber) {
-	idx := uint64(uint32(f.idx + 1))
-	for {
-		h := a.freeFibHead.Load()
-		f.nextFree.Store(int32(uint32(h)) - 1)
-		nh := (h>>32+1)<<32 | idx
-		if a.freeFibHead.CompareAndSwap(h, nh) {
-			return
-		}
-	}
-}
-
-// allocFib pops a free fiber lock-free; nil when exhausted (structurally
-// impossible: the pool is sized workers + jobs).
-//
-//yasmin:noalloc
-func (a *App) allocFib() *fiber {
-	for {
-		h := a.freeFibHead.Load()
-		idx := int(int32(uint32(h))) - 1
-		if idx < 0 {
-			return nil
-		}
-		f := a.fibers[idx]
-		next := uint64(uint32(f.nextFree.Load() + 1))
-		nh := (h>>32+1)<<32 | next
-		if a.freeFibHead.CompareAndSwap(h, nh) {
-			return f
-		}
-	}
-}
-
-// loop is the fiber thread body.
-func (f *fiber) loop(c rt.Ctx) {
+// run is the fiber thread body: wait until the fiber carries its worker,
+// run the worker loop, and park as a spare again once the loop hands the
+// worker on or the worker retires.
+func (f *fiber) run(c rt.Ctx) {
 	a := f.app
+	w := f.w
 	defer a.threadExit()
-	for {
-		if intr := c.Park(); intr || a.terminating.Load() {
-			if a.terminating.Load() {
-				return
-			}
+	for a.awaitResume(c, f) {
+		if a.cfg.Mapping == MappingOffline {
+			a.offlineWorkerLoop(c, f)
+		} else if a.workerLoop(c, f) {
 			continue
 		}
-		// Plain reads: the dispatching worker wrote job/state/pendingCharge
-		// before its Unpark, which orders the handoff.
-		j := f.job
-		if j == nil {
-			continue // spurious wake
-		}
-		if j.state.Load() != jobRunning || j.fib != f {
-			panic(fmt.Sprintf("fiber %d woke with job %q state=%d fib-match=%v worker=%d",
-				f.idx, j.name, j.state.Load(), j.fib == f, j.worker.Load()))
-		}
-		// The context-switch (and any queue-op) cost rides lazily on the
-		// job's first Compute instead of paying a timing event here.
-		c.ChargeLazy(j.pendingCharge)
-		j.pendingCharge = 0
-		v := &j.t.versions[j.version]
-		f.ectx = ExecCtx{app: a, j: j, c: c, f: f}
-		j.err = v.fn(&f.ectx, v.args)
-		// Notify the owning worker under its shard lock.
-		w := a.workers[j.worker.Load()]
-		sh := w.shard
-		sh.mu.Lock()
-		j.fnDone = true
-		w.wakeReason = wakeCompleted
-		w.wakeJob = j
-		sh.mu.Unlock()
-		w.th.Unpark()
-		// Park until reused; the completion path recycles f lock-free.
+		// The run is over for this worker: park as its spare until the
+		// next Start.
+		w.spares = append(w.spares, f)
+		w.fib.Store(nil)
+		a.workersLive.Add(-1)
 	}
+}
+
+// awaitResume parks f until it carries its worker (w.fib == f): a spare
+// until Start or a suspending job hands it the worker, a suspended job's
+// fiber until a worker resumes the job. The ownership check, not the wake,
+// decides: a stray Unpark or a stale preemption Interrupt only re-checks,
+// so nothing can restart a suspended job but its resumption. False on
+// termination.
+func (a *App) awaitResume(c rt.Ctx, f *fiber) bool {
+	for {
+		if a.terminating.Load() {
+			return false
+		}
+		if f.w.fib.Load() == f {
+			return true
+		}
+		c.Park()
+	}
+}
+
+// handTo passes worker w to fiber f. Called by the fiber carrying w, which
+// must not touch the worker afterwards.
+func (a *App) handTo(w *workerState, f *fiber) {
+	w.fib.Store(f)
+	f.th.Unpark()
+}
+
+// spare returns one of w's parked spare fibers, spawning one pinned to
+// w.core on first need. Called by the fiber carrying w (or by Start).
+func (a *App) spare(w *workerState) *fiber {
+	if n := len(w.spares); n > 0 {
+		f := w.spares[n-1]
+		w.spares = w.spares[:n-1]
+		return f
+	}
+	f := &fiber{app: a, w: w}
+	name := "yas-worker-" + strconv.Itoa(w.idx)
+	if n := len(w.fibers); n > 0 {
+		name += "." + strconv.Itoa(n)
+	}
+	w.fibers = append(w.fibers, f)
+	a.liveThreads.Add(1)
+	f.th = a.env.Spawn(name, w.core, f.run)
+	return f
 }

@@ -53,7 +53,6 @@ func (e *OSEnv) Wait() { e.wg.Wait() }
 // Spawn starts a goroutine-backed thread.
 func (e *OSEnv) Spawn(name string, core int, fn func(Ctx)) Thread {
 	t := &osThread{env: e, name: name}
-	t.core.Store(int64(core))
 	t.unpark = make(chan struct{}, 1)
 	t.intr = make(chan struct{}, 1)
 	e.wg.Add(1)
@@ -84,7 +83,6 @@ func (e *OSEnv) NewLock(kind LockKind) Lock {
 // directly.
 func (e *OSEnv) RunMain(fn func(Ctx)) {
 	t := &osThread{env: e, name: "main"}
-	t.core.Store(int64(UnpinnedCore))
 	t.unpark = make(chan struct{}, 1)
 	t.intr = make(chan struct{}, 1)
 	fn(&osCtx{env: e, th: t})
@@ -95,7 +93,6 @@ func (e *OSEnv) RunMain(fn func(Ctx)) {
 type osThread struct {
 	env    *OSEnv
 	name   string
-	core   atomic.Int64
 	unpark chan struct{}
 	intr   chan struct{}
 	done   atomic.Bool
@@ -106,10 +103,8 @@ type osThread struct {
 	kick kick
 }
 
-func (t *osThread) Name() string     { return t.name }
-func (t *osThread) Core() int        { return int(t.core.Load()) }
-func (t *osThread) SetCore(core int) { t.core.Store(int64(core)) }
-func (t *osThread) Done() bool       { return t.done.Load() }
+func (t *osThread) Name() string { return t.name }
+func (t *osThread) Done() bool   { return t.done.Load() }
 
 func (t *osThread) Unpark() {
 	select {

@@ -21,8 +21,8 @@ import (
 	"github.com/yasmin-rt/yasmin/internal/platform"
 )
 
-// UnpinnedCore marks a thread not bound to any core (e.g. job fibers before
-// dispatch).
+// UnpinnedCore marks a thread not bound to any core (e.g. the scheduler
+// without a configured core, or a program's main thread).
 const UnpinnedCore = -1
 
 // LockKind selects the lock implementation, mirroring the paper's
@@ -73,12 +73,6 @@ type Env interface {
 // the same environment.
 type Thread interface {
 	Name() string
-	// Core returns the core the thread is currently bound to.
-	Core() int
-	// SetCore rebinds the thread. The simulation backend uses the core's
-	// speed to scale Compute durations; the middleware calls this when it
-	// dispatches a job fiber onto a virtual CPU.
-	SetCore(core int)
 	// Unpark wakes the thread from Park. A token is buffered if the thread
 	// is not parked, preventing lost wakeups.
 	Unpark()

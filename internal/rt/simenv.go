@@ -96,16 +96,12 @@ type simThread struct {
 }
 
 func (t *simThread) Name() string { return t.proc.Name() }
-func (t *simThread) Core() int    { return t.core }
-func (t *simThread) SetCore(core int) {
-	t.core = core
-}
-func (t *simThread) Unpark()    { t.env.eng.Unpark(t.proc) }
-func (t *simThread) Interrupt() { t.env.eng.Interrupt(t.proc) }
-func (t *simThread) Done() bool { return t.proc.Done() }
+func (t *simThread) Unpark()      { t.env.eng.Unpark(t.proc) }
+func (t *simThread) Interrupt()   { t.env.eng.Interrupt(t.proc) }
+func (t *simThread) Done() bool   { return t.proc.Done() }
 
-// speed returns the execution speed of the thread's current core (1.0 when
-// unpinned: job fibers are always rebound before computing).
+// speed returns the execution speed of the thread's core (1.0 when
+// unpinned).
 func (t *simThread) speed() float64 {
 	if t.core < 0 || t.core >= len(t.env.plat.Cores) {
 		return 1.0

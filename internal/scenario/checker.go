@@ -93,6 +93,13 @@ type Checker struct {
 
 	injected int64 // injected task errors
 
+	// overlapJobs marks runs in which two jobs of one task may execute at
+	// once: the wall-clock backend under the global mapping. publish then
+	// serialises each publisher's stamp-publish-commit sequence. Elsewhere
+	// (the simulation backend, partitioned runs) such an overlap would be a
+	// defect, and the "raced itself" clause stays armed to catch it.
+	overlapJobs bool
+
 	// admission bookkeeping, appended by the churn driver
 	attempts []admissionAttempt
 
@@ -123,7 +130,9 @@ type topicCheck struct {
 	// published[p] doubles as publisher p's last assigned sequence number:
 	// sequences are only consumed by successful publishes.
 	published []int64
-	subs      []*subWatch
+	// pubMu[p] serialises publisher p's publishes under overlapJobs.
+	pubMu []sync.Mutex
+	subs  []*subWatch
 }
 
 // subWatch is one subscriber's view: last seen sequence and consumed count
@@ -204,6 +213,7 @@ func (ck *Checker) addTopic(name string, policy core.OverflowPolicy, capacity, p
 		policy:    policy,
 		capacity:  capacity,
 		published: make([]int64, pubs),
+		pubMu:     make([]sync.Mutex, pubs),
 	}
 	for i := 0; i < subs; i++ {
 		tc.subs = append(tc.subs, &subWatch{
@@ -230,12 +240,25 @@ func seqEncode(pub int, seq int64) int64 { return int64(pub)<<48 | seq }
 
 func seqDecode(v int64) (pub int, seq int64) { return int(v >> 48), v & (1<<48 - 1) }
 
-// nextSeq returns the sequence number publisher p of topic ti should stamp
-// on its next publish attempt.
-func (ck *Checker) nextSeq(ti, p int) int64 {
+// publish stamps publisher p's next sequence number on topic ti, hands the
+// encoded value to pub, and commits the number when pub succeeds — one
+// call, so that where jobs of one task overlap (overlapJobs) the numbers
+// are taken and committed in the order the values enter the buffer. A
+// failed publish commits nothing: the number is reused.
+func (ck *Checker) publish(ti, p int, pub func(v int64) error) error {
+	if ck.overlapJobs {
+		mu := &ck.topics[ti].pubMu[p]
+		mu.Lock()
+		defer mu.Unlock()
+	}
 	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	return ck.topics[ti].published[p] + 1
+	seq := ck.topics[ti].published[p] + 1
+	ck.mu.Unlock()
+	if err := pub(seqEncode(p, seq)); err != nil {
+		return err
+	}
+	ck.notePublished(ti, p, seq)
+	return nil
 }
 
 // notePublished commits a successful publish of sequence seq.

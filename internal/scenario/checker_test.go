@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -105,6 +106,63 @@ func TestCheckerCatchesSeededFIFOViolation(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("%s: violations %v do not mention %q", tc.label, vs, tc.want)
+		}
+	}
+}
+
+// TestCheckerPublishOverlappingJobs: two jobs of one publisher publish at
+// once. Where that overlap is legal (overlapJobs) publish serialises them
+// into distinct, ordered sequence numbers; elsewhere the "raced itself"
+// clause must fire.
+func TestCheckerPublishOverlappingJobs(t *testing.T) {
+	for _, overlap := range []bool{true, false} {
+		ck, ti := feedChecker(core.Reject)
+		ck.overlapJobs = overlap
+		var (
+			mu       sync.Mutex
+			buffered []int64 // values in the order they entered the buffer
+			wg       sync.WaitGroup
+		)
+		firstIn := make(chan struct{})
+		secondDone := make(chan struct{})
+		job := func(first bool) {
+			defer wg.Done()
+			_ = ck.publish(ti, 0, func(v int64) error {
+				if first {
+					close(firstIn)
+					// Without serialisation the second job publishes
+					// meanwhile; with it, it waits for this one.
+					select {
+					case <-secondDone:
+					case <-time.After(50 * time.Millisecond):
+					}
+				}
+				mu.Lock()
+				buffered = append(buffered, v)
+				mu.Unlock()
+				return nil
+			})
+			if !first {
+				close(secondDone)
+			}
+		}
+		wg.Add(2)
+		go job(true)
+		<-firstIn
+		go job(false)
+		wg.Wait()
+		for _, v := range buffered {
+			ck.noteTaken(ti, 0, v)
+		}
+		raced := false
+		for _, v := range ck.violations {
+			raced = raced || strings.Contains(v.Msg, "raced itself")
+		}
+		switch {
+		case overlap && len(ck.violations) > 0:
+			t.Errorf("overlapping jobs serialised, yet flagged: %v", ck.violations)
+		case !overlap && !raced:
+			t.Errorf("overlap where it must not happen went unflagged: %v", ck.violations)
 		}
 	}
 }

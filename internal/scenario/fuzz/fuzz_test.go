@@ -43,7 +43,7 @@ func TestGenAlwaysValid(t *testing.T) {
 // itself, or every fuzz finding would drown in noise.
 func TestGenCleanRuns(t *testing.T) {
 	n := int64(60)
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		n = 15
 	}
 	for seed := int64(0); seed < n; seed++ {
@@ -85,7 +85,13 @@ func TestFuzzerFindsStaleWaiterResortBug(t *testing.T) {
 		t.Fatal("seeded stale-waiter-resort bug not rediscovered within 60 accel_chain seeds")
 	}
 
-	min, runs := Shrink(found, ViolationPredicate(), ShrinkOpts{})
+	// Under the race detector five shrink runs (not the ≈30 a full shrink
+	// takes) already cut the reproducer below the size bounds checked here.
+	var opts ShrinkOpts
+	if raceEnabled {
+		opts.MaxRuns = 5
+	}
+	min, runs := Shrink(found, ViolationPredicate(), opts)
 	t.Logf("reproducer: %d tasks, %d churn phases, %d groups (%d shrink runs)",
 		min.TaskCount(), len(min.Churn), len(min.Groups), runs)
 	if min.TaskCount() > 10 {
@@ -158,9 +164,15 @@ func TestShrinkStopsAtBudget(t *testing.T) {
 	if !ViolationPredicate()(sc) {
 		t.Skip("seed 0 does not fail under the seeded bug on this build")
 	}
-	_, runs := Shrink(sc, ViolationPredicate(), ShrinkOpts{MaxRuns: 10})
-	if runs > 10 {
-		t.Fatalf("shrink spent %d runs, budget 10", runs)
+	// A full shrink of this scenario takes ≈30 runs, so either budget
+	// stops it early.
+	budget := 10
+	if raceEnabled {
+		budget = 3
+	}
+	_, runs := Shrink(sc, ViolationPredicate(), ShrinkOpts{MaxRuns: budget})
+	if runs > budget {
+		t.Fatalf("shrink spent %d runs, budget %d", runs, budget)
 	}
 }
 

@@ -123,6 +123,7 @@ type runBackend struct {
 	env   rt.Env
 	drive func() error
 	steps func() uint64
+	wall  bool // wall-clock backend: jobs of one task may overlap
 }
 
 // Run executes the scenario on the deterministic simulation backend and
@@ -169,6 +170,7 @@ func RunOS(sc *Scenario, opts RunOpts) (*Report, error) {
 		env:   env,
 		drive: func() error { env.Wait(); return nil },
 		steps: func() uint64 { return 0 },
+		wall:  true,
 	})
 }
 
@@ -191,6 +193,7 @@ func runScenario(sc *Scenario, opts RunOpts, bk runBackend) (*Report, error) {
 	}
 	rng := rand.New(rand.NewSource(sc.Seed))
 	ck := NewChecker()
+	ck.overlapJobs = bk.wall && sc.Mapping != "partitioned"
 	ck.accelWaitBound = sc.AccelWaitBound.Std()
 	ck.SetContext(Context{Scenario: sc.Name, Seed: sc.Seed, Node: -1})
 
@@ -658,14 +661,10 @@ func (sc *Scenario) buildSpec(rng *rand.Rand, ck *Checker) (*spec.Spec, *genStat
 // checker violation rather than being silently swallowed.
 func pubBody(ck *Checker, ti, p int, cid core.CID) core.TaskFunc {
 	return func(x *core.ExecCtx, _ any) error {
-		seq := ck.nextSeq(ti, p)
-		if err := x.Publish(cid, seqEncode(p, seq)); err != nil {
-			if !strings.Contains(err.Error(), " full (") {
-				ck.violationf("topic check %d pub %d: publish failed unexpectedly: %v", ti, p, err)
-			}
-			return nil
+		err := ck.publish(ti, p, func(v int64) error { return x.Publish(cid, v) })
+		if err != nil && !strings.Contains(err.Error(), " full (") {
+			ck.violationf("topic check %d pub %d: publish failed unexpectedly: %v", ti, p, err)
 		}
-		ck.notePublished(ti, p, seq)
 		return nil
 	}
 }

@@ -249,6 +249,33 @@ func (r *Recorder) SetStream(s Stream) {
 	r.stream.Store(&streamBox{s: s})
 }
 
+// Declare creates the stats entry of a task before its first job, so that
+// the first Record of the task allocates nothing: admission (Start, a
+// reconfiguration commit) pays for it instead of the job path. Readers skip
+// entries that have recorded no job yet.
+func (r *Recorder) Declare(name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.declareLocked(name)
+}
+
+func (r *Recorder) declareLocked(name string) *TaskStats {
+	ts := r.perTask[name]
+	if ts == nil {
+		ts = &TaskStats{
+			Task:     name,
+			Response: NewStat(name + "/response"),
+			Versions: make(map[int]int64),
+		}
+		// A small map allocates its storage on the first insert: touch it
+		// here, not in the first Record.
+		ts.Versions[0] = 0
+		delete(ts.Versions, 0)
+		r.perTask[name] = ts
+	}
+	return ts
+}
+
 // Record adds a completed job.
 func (r *Recorder) Record(j JobRecord) {
 	if b := r.stream.Load(); b != nil {
@@ -259,15 +286,7 @@ func (r *Recorder) Record(j JobRecord) {
 	if r.keepJobs {
 		r.jobs = append(r.jobs, j)
 	}
-	ts := r.perTask[j.Task]
-	if ts == nil {
-		ts = &TaskStats{
-			Task:     j.Task,
-			Response: NewStat(j.Task + "/response"),
-			Versions: make(map[int]int64),
-		}
-		r.perTask[j.Task] = ts
-	}
+	ts := r.declareLocked(j.Task)
 	ts.Jobs++
 	ts.Preempts += int64(j.Preempts)
 	if j.Missed {
@@ -347,20 +366,25 @@ func (r *Recorder) Jobs() []JobRecord {
 	return out
 }
 
-// Task returns the stats for one task (nil if unknown).
+// Task returns the stats for one task (nil if it recorded no job).
 func (r *Recorder) Task(name string) *TaskStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.perTask[name]
+	if ts := r.perTask[name]; ts != nil && ts.Jobs > 0 {
+		return ts
+	}
+	return nil
 }
 
-// TaskNames returns all task names, sorted.
+// TaskNames returns the names of all tasks that recorded a job, sorted.
 func (r *Recorder) TaskNames() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.perTask))
-	for n := range r.perTask {
-		names = append(names, n)
+	for n, ts := range r.perTask {
+		if ts.Jobs > 0 {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -412,6 +436,9 @@ func (r *Recorder) WriteSummary(w io.Writer) error {
 	r.mu.Lock()
 	rows := make([]row, 0, len(r.perTask))
 	for _, ts := range r.perTask {
+		if ts.Jobs == 0 {
+			continue
+		}
 		min, max, mean := ts.Response.Summary()
 		rows = append(rows, row{
 			task: ts.Task, jobs: ts.Jobs, misses: ts.Misses,

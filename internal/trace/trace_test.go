@@ -234,3 +234,36 @@ func TestRecordWithStreamAllocationFree(t *testing.T) {
 		t.Fatalf("steady-state Record with a stream allocates %.1f times per call", avg)
 	}
 }
+
+// TestDeclaredFirstRecordAllocatesNothing pins the point of Declare: the
+// first job of a declared task records without allocating, and a declared
+// task with no job stays invisible to every reader.
+func TestDeclaredFirstRecordAllocatesNothing(t *testing.T) {
+	r := NewRecorder(false)
+	names := make([]string, 200)
+	for i := range names {
+		names[i] = "t" + strings.Repeat("x", i)
+		r.Declare(names[i])
+	}
+	if got := r.TaskNames(); len(got) != 0 {
+		t.Fatalf("TaskNames lists declared tasks without jobs: %v", got)
+	}
+	if r.Task(names[0]) != nil {
+		t.Fatal("Task returns a declared task without jobs")
+	}
+	var buf bytes.Buffer
+	if err := r.WriteSummary(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("WriteSummary printed declared tasks without jobs: %q (%v)", buf.String(), err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(names)-1, func() {
+		r.Record(JobRecord{Task: names[i], Finish: ms(1), Deadline: ms(2), Version: 1})
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("first Record of a declared task allocates %.1f times, want 0", allocs)
+	}
+	if ts := r.Task(names[0]); ts == nil || ts.Jobs != 1 || ts.Versions[1] != 1 {
+		t.Fatalf("declared task's first job not recorded: %+v", ts)
+	}
+}
