@@ -7,7 +7,7 @@
 // lock-free publish fast path: a per-topic forwarder installed into the
 // commit-built topicView encodes each successful local publish into a
 // compact wire frame on the publisher's own thread (no App lock, no
-// allocation in steady state) and hands it to the Transport once per
+// allocation in steady state) and hands it to the transport once per
 // destination node. Ingress is sharded: frames hash by topic onto MPSC
 // rings drained by dedicated workers that enforce epoch freshness and
 // per-publisher FIFO before injecting into the local topic via
@@ -36,16 +36,6 @@ import (
 	"github.com/yasmin-rt/yasmin/internal/telemetry"
 )
 
-// Transport moves encoded frames between nodes. Send must be safe to
-// call from any publisher thread and must not retain pkt after it
-// returns (senders reuse the buffer). Delivery is best-effort and
-// unordered — the ingress discipline, not the transport, provides the
-// ordering guarantees.
-type Transport interface {
-	Send(dst int, pkt []byte)
-	Close() error
-}
-
 // ingressRing is the default per-shard receive ring capacity.
 const ingressRing = 1024
 
@@ -58,6 +48,7 @@ const defaultShards = 4
 type Cluster struct {
 	epoch atomic.Uint64
 	nodes []*Node
+	tr    *MemTransport // shared by every node; nil until NewMemTransport
 }
 
 // New creates an empty cluster at epoch 0.
@@ -112,22 +103,17 @@ func (cl *Cluster) Start() error {
 	return nil
 }
 
-// Close stops all cluster threads and closes each distinct transport.
+// Close stops all cluster threads and closes the shared transport.
 // On SimEnv, call before draining the engine: parked shard workers do
 // not keep the engine alive, but the periodic sync threads would.
 func (cl *Cluster) Close() error {
-	var firstErr error
-	closed := make(map[Transport]bool)
 	for _, n := range cl.nodes {
 		n.close()
-		if n.tr != nil && !closed[n.tr] {
-			closed[n.tr] = true
-			if err := n.tr.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
 	}
-	return firstErr
+	if cl.tr == nil {
+		return nil
+	}
+	return cl.tr.Close()
 }
 
 // NodeError is a typed per-node rejection from a cluster reconfiguration:

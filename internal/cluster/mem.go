@@ -52,8 +52,9 @@ func NewMemTransport(cl *Cluster, opt MemOpts) *MemTransport {
 		opt:  opt,
 		held: make([]*Frame, len(cl.nodes)),
 	}
+	cl.tr = t
 	for _, n := range cl.nodes {
-		n.SetTransport(t)
+		n.tr = t
 	}
 	return t
 }

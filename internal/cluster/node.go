@@ -118,7 +118,7 @@ type Node struct {
 	pipe *telemetry.Pipeline
 	cfg  NodeConfig
 
-	tr     Transport
+	tr     *MemTransport
 	routes map[string]*route
 	shards []*shard
 	clock  Clock
@@ -139,10 +139,6 @@ type Node struct {
 // NowNS returns the node-local clock: environment time plus the
 // configured simulated skew.
 func (n *Node) NowNS() int64 { return int64(n.env.Now() + n.cfg.ClockSkew) }
-
-// SetTransport attaches the node's transport. Must happen before Start;
-// NewMemTransport attaches itself to every node of the cluster.
-func (n *Node) SetTransport(t Transport) { n.tr = t }
 
 // Stats snapshots the node's data-plane counters.
 func (n *Node) Stats() NodeStats {

@@ -282,7 +282,7 @@ func (a *App) releaseInstanceLocked(c rt.Ctx, inst HID, j *job) {
 			a.recordAccel(c, trace.AccelRequeue, head.id, wjob)
 			if !a.pushReady(c, wjob) {
 				a.overruns.Add(1)
-				a.freeJobLocked(c, wjob)
+				a.freeJob(c, wjob, true)
 			}
 		}
 		for i := len(kept); i < len(head.waiters); i++ {

@@ -149,11 +149,8 @@ type App struct {
 	maskBit atomic.Uint32
 
 	// boostSeen marks pool heads visited by one PIP chain-boost walk (cycle
-	// guard); vselRest is the version-selection scratch for unaffordable
-	// versions (orderByEnergy). Both are reused under the App lock so the
-	// scheduling hot path never allocates.
+	// guard), reused under the App lock so the PIP path never allocates.
 	boostSeen []bool
-	vselRest  []VID
 
 	battery *platform.Battery
 
@@ -197,7 +194,6 @@ func New(cfg Config, env rt.Env) (*App, error) {
 		a.accels[i].waiters = make([]*job, 0, cfg.MaxPendingJobs)
 	}
 	a.boostSeen = make([]bool, cfg.MaxAccels)
-	a.vselRest = make([]VID, 0, cfg.MaxVersionsPerTask)
 	a.topics = make([]topic, cfg.MaxChannels)
 	a.edges = make([]edge, cfg.MaxChannels)
 	a.jobPool = make([]job, cfg.MaxPendingJobs)
@@ -283,8 +279,16 @@ func (a *App) Init() {
 // Env returns the execution environment.
 func (a *App) Env() rt.Env { return a.env }
 
-// Started reports whether the schedule is currently running.
-func (a *App) Started() bool { return a.started.Load() }
+// Started reports whether the schedule is currently running: Start has
+// been called and the run has not ended. A run ends once Stop has been
+// called and no worker or scheduler thread is left; the App then accepts
+// declarations and a new Start, as after Cleanup.
+func (a *App) Started() bool {
+	if !a.started.Load() {
+		return false
+	}
+	return !a.stopping.Load() || a.workersLive.Load() > 0 || a.schedLive.Load() > 0
+}
 
 // NumTasks returns the number of declared tasks.
 func (a *App) NumTasks() int { return a.ntasks }
@@ -325,7 +329,10 @@ func (a *App) FirstError() error {
 // may allocate: taking the parameter's address would move it to the heap on
 // every call.
 func (a *App) recordTaskError(err error) {
-	if err == nil || errors.Is(err, ErrTerminated) {
+	if err == nil {
+		return
+	}
+	if errors.Is(err, ErrTerminated) { //yasmin:alloc-ok a failed job only
 		return
 	}
 	a.taskErrors.Add(1)
@@ -406,7 +413,8 @@ func resetTaskSlot(t *task, id TID) {
 	t.pubTopics = t.pubTopics[:0]
 	t.hasIns = false
 	t.fastSel = false
-	t.fastDone = false
+	t.isolated = false
+	t.graphName = ""
 	t.relIdx = -1
 	t.pendingData = false
 }
@@ -414,7 +422,7 @@ func resetTaskSlot(t *task, id TID) {
 // TaskDecl declares a task — the paper's yas_task_decl. The task has no
 // versions yet; add at least one with VersionDecl before Start.
 func (a *App) TaskDecl(d TData) (TID, error) {
-	if a.started.Load() {
+	if a.Started() {
 		return -1, ErrStarted
 	}
 	if err := validateTData(d); err != nil {
@@ -432,7 +440,7 @@ func (a *App) TaskDecl(d TData) (TID, error) {
 // VersionDecl adds an implementation to a task — yas_version_decl. args is
 // passed to fn on every job (the C API's f_static_args).
 func (a *App) VersionDecl(t TID, fn TaskFunc, args any, props VSelect) (VID, error) {
-	if a.started.Load() {
+	if a.Started() {
 		return -1, ErrStarted
 	}
 	tk, err := a.taskByID(t)
@@ -463,7 +471,7 @@ func (a *App) HwAccelDecl(name string) (HID, error) {
 // priority-ordered waiter list. Instances beyond the head are named
 // "name#1", "name#2", ... and each consumes one MaxAccels slot.
 func (a *App) HwAccelDeclPool(name string, count int) (HID, error) {
-	if a.started.Load() {
+	if a.Started() {
 		return -1, ErrStarted
 	}
 	if name == "" {
@@ -509,7 +517,7 @@ func (a *App) HwAccelDeclPool(name string, count int) (HID, error) {
 // yas_hwaccel_use. The scheduler uses this to steer version selection and
 // apply PIP on contention.
 func (a *App) HwAccelUse(t TID, v VID, h HID) error {
-	if a.started.Load() {
+	if a.Started() {
 		return ErrStarted
 	}
 	tk, err := a.taskByID(t)
@@ -534,7 +542,7 @@ func (a *App) HwAccelUse(t TID, v VID, h HID) error {
 // A channel is implemented as a Reject-policy topic with a single anonymous
 // cursor, so Push/Pop and Publish/Take interoperate on the same CID.
 func (a *App) ChannelDecl(name string, capacity int) (CID, error) {
-	if a.started.Load() {
+	if a.Started() {
 		return -1, ErrStarted
 	}
 	if capacity < 0 {
@@ -569,7 +577,7 @@ func (a *App) ChannelConnectDelayed(src, dst TID, c CID, delay int) error {
 }
 
 func (a *App) connect(src, dst TID, c CID, delay int) error {
-	if a.started.Load() {
+	if a.Started() {
 		return ErrStarted
 	}
 	if _, err := a.taskByID(src); err != nil {
@@ -601,7 +609,7 @@ func (a *App) connect(src, dst TID, c CID, delay int) error {
 // SetOfflineTable installs the pre-computed dispatch table for
 // MappingOffline.
 func (a *App) SetOfflineTable(t *OfflineTable) error {
-	if a.started.Load() {
+	if a.Started() {
 		return ErrStarted
 	}
 	if a.cfg.Mapping != MappingOffline {
@@ -816,7 +824,13 @@ func (a *App) deriveTaskLocked(t *task) error {
 	}
 	t.staticPrio = a.prioKeyOf(t)
 	t.hasIns = len(t.inEdges) > 0
-	t.fastDone = len(t.inEdges) == 0 && len(t.outEdges) == 0
+	if t.hasIns && t.graphName == "" {
+		// Built once per slot incarnation (a task keeps its name): a
+		// draining task is not re-derived, but may become a sink when its
+		// successors leave, so every data-activated task gets one.
+		t.graphName = "graph:" + t.d.Name
+	}
+	t.isolated = len(t.inEdges) == 0 && len(t.outEdges) == 0
 	t.fastSel = a.cfg.VersionSelect != SelectUser
 	for i := range t.versions {
 		if t.versions[i].accel != NoAccel {
@@ -983,7 +997,7 @@ func resetJob(j *job, idx int) {
 	j.poolIdx = idx
 	j.heapIdx = -1
 	j.shardIdx.Store(-1)
-	j.fastSel, j.fastPath = false, false
+	j.fastSel, j.isolated = false, false
 }
 
 // pushFreeJob returns a job slot to the lock-free pool freelist. The slot
@@ -1045,34 +1059,13 @@ func (a *App) recycleJobUnreleased(j *job) {
 	}
 }
 
-// freeJobLocked recycles a finished (or never-run) job; caller holds App.mu.
-// The slow completion paths, accelerator requeue overflow and the offline
-// dispatcher use this variant so draining tasks retire inline.
-func (a *App) freeJobLocked(c rt.Ctx, j *job) {
-	if j.state.Load() == jobFree {
-		panic(fmt.Sprintf("core: double free of job %d", j.poolIdx))
-	}
-	t := j.t
-	j.state.Store(jobFree)
-	j.t = nil
-	j.fib = nil
-	a.pushFreeJob(j)
-	var live int32
-	if t != nil {
-		live = t.live.Add(-1)
-	}
-	if a.jobsLive.Add(-1) == 0 && a.stopping.Load() {
-		a.wakeAllWorkers()
-	}
-	if t != nil && live == 0 && t.state == taskDraining {
-		a.finishRetireLocked(t, c.Now())
-	}
-}
-
-// freeJob recycles a finished job on the lock-free completion path: the
-// caller holds NO locks, and only when the task is draining does retirement
-// fall back to App.mu (with a re-check under the lock).
-func (a *App) freeJob(c rt.Ctx, j *job) {
+// freeJob recycles a finished (or never-run) job. locked reports whether
+// the caller holds App.mu. When j was the last live job of a draining task,
+// the task retires: inline when locked, else freeJob returns the task and
+// the caller retires it once it has taken App.mu (retireDrainedLocked).
+//
+//yasmin:noalloc
+func (a *App) freeJob(c rt.Ctx, j *job, locked bool) *task {
 	if j.state.Load() == jobFree {
 		panic(fmt.Sprintf("core: double free of job %d", j.poolIdx))
 	}
@@ -1085,12 +1078,22 @@ func (a *App) freeJob(c rt.Ctx, j *job) {
 	if a.jobsLive.Add(-1) == 0 && a.stopping.Load() {
 		a.wakeAllWorkers()
 	}
-	if live == 0 && t.draining.Load() {
-		a.mu.Lock(c)
-		if t.state == taskDraining && t.live.Load() == 0 {
-			a.finishRetireLocked(t, c.Now())
-		}
-		a.mu.Unlock(c)
+	if live != 0 || !t.draining.Load() {
+		return nil
+	}
+	if !locked {
+		return t
+	}
+	a.retireDrainedLocked(t, c.Now()) //yasmin:alloc-ok retirement ends a reconfiguration, once per removed task
+	return nil
+}
+
+// retireDrainedLocked retires t if it is still draining with no live job:
+// a commit or another completion may have retired it first. Caller holds
+// App.mu.
+func (a *App) retireDrainedLocked(t *task, now time.Duration) {
+	if t.state == taskDraining && t.live.Load() == 0 {
+		a.finishRetireLocked(t, now)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -548,6 +550,94 @@ func TestRecordTaskErrorNilDoesNotAllocate(t *testing.T) {
 	a.recordTaskError(ErrTerminated)
 	if a.TaskErrors() != 1 || a.FirstError() != errTest {
 		t.Errorf("TaskErrors %d FirstError %v, want 1 and %v", a.TaskErrors(), a.FirstError(), errTest)
+	}
+}
+
+// A DAG activation allocates nothing once warm: release, dispatch, channel
+// push/pop, completion and the sink's end-to-end graph record (whose name is
+// built once per task, not per job) all reuse preallocated state.
+func TestChainActivationAllocatesNothing(t *testing.T) {
+	const stages, warm, runs = 4, 100, 1000
+	r := newRig(t, Config{Workers: 2, Priority: PriorityEDF}, nil)
+	var tids [stages]TID
+	for i := range tids {
+		d := TData{Name: fmt.Sprintf("s%d", i)}
+		if i == 0 {
+			d.Deadline = ms(1)
+		}
+		var err error
+		if tids[i], err = r.app.TaskDecl(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var cids [stages - 1]CID
+	for i := range cids {
+		var err error
+		if cids[i], err = r.app.ChannelDecl(fmt.Sprintf("c%d", i), 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.app.ChannelConnect(tids[i], tids[i+1], cids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var driver rt.Thread
+	for i := range tids {
+		i := i
+		body := func(x *ExecCtx, _ any) error {
+			var v any = int64(0)
+			if i > 0 {
+				got, err := x.Pop(cids[i-1])
+				if err != nil {
+					return err
+				}
+				v = got
+			}
+			if i < len(cids) {
+				return x.Push(cids[i], v)
+			}
+			driver.Unpark()
+			return nil
+		}
+		if _, err := r.app.VersionDecl(tids[i], body, nil, VSelect{WCET: us(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perActivation := -1.0
+	r.env.Spawn("main", rt.UnpinnedCore, func(c rt.Ctx) {
+		driver = c.Self()
+		if err := r.app.Start(c); err != nil {
+			t.Errorf("Start: %v", err)
+			return
+		}
+		activate := func(n int) bool {
+			for k := 0; k < n; k++ {
+				if err := r.app.TaskActivate(c, tids[0]); err != nil {
+					t.Errorf("TaskActivate: %v", err)
+					return false
+				}
+				c.Park()
+			}
+			return true
+		}
+		if activate(warm) {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if activate(runs) {
+				runtime.ReadMemStats(&m1)
+				perActivation = float64(m1.Mallocs-m0.Mallocs) / runs
+			}
+		}
+		r.app.Stop(c)
+		r.app.Cleanup(c)
+	})
+	if err := r.eng.Run(sim.Time(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if perActivation != 0 {
+		t.Errorf("%.3f objects allocated per %d-stage activation, want 0", perActivation, stages)
+	}
+	if st := r.app.Recorder().Task("graph:s3"); st == nil || st.Jobs != warm+runs {
+		t.Errorf("graph record stats = %+v, want %d jobs", st, warm+runs)
 	}
 }
 

@@ -298,16 +298,15 @@ func (x *ExecCtx) rejoinWorker() error {
 	cur := w.current
 	preemptCurrent := a.cfg.Preemption &&
 		cur != nil && cur.state.Load() == jobRunning && j.before(cur)
-	var preemptFiber rt.Thread
-	if preemptCurrent && cur.fib != nil {
-		preemptFiber = cur.fib.th
+	var preemptFiber *fiber
+	if preemptCurrent {
+		preemptFiber = cur.fib
 	}
 	sh.mu.Unlock()
 	if a.claimIdle(w) {
 		w.wake()
 	} else if preemptFiber != nil {
-		x.c.Charge(a.env.Costs().SignalDeliver)
-		preemptFiber.Interrupt()
+		a.signalFiber(x.c, preemptFiber)
 	}
 	if !a.awaitResume(x.c, j.fib) {
 		return ErrTerminated

@@ -316,7 +316,6 @@ func TestMultiModeStopAlterRestart(t *testing.T) {
 		for r.app.workersLive.Load() > 0 || r.app.schedLive.Load() > 0 {
 			c.Sleep(ms(1))
 		}
-		r.app.started.Store(false) // stopped: allow declarations
 		t2, err := r.app.TaskDecl(TData{Name: "phase2", Period: ms(5)})
 		if err != nil {
 			t.Errorf("TaskDecl after stop: %v", err)

@@ -29,13 +29,6 @@ func quiesce(c rt.Ctx, a *App) {
 	}
 }
 
-// restart starts a quiescent stopped App again (the multi-mode idiom of
-// TestMultiModeStopAlterRestart).
-func restart(c rt.Ctx, a *App) error {
-	a.started.Store(false)
-	return a.Start(c)
-}
-
 // TestOneFiberPerWorkerWithoutSuspension: with preemption off and bodies
 // that never suspend, every job runs on its worker's own fiber — an App
 // spawns exactly Workers fibers and keeps them across Stop/Start.
@@ -47,7 +40,7 @@ func TestOneFiberPerWorkerWithoutSuspension(t *testing.T) {
 	var runs []int
 	r.env.Spawn("main", rt.UnpinnedCore, func(c rt.Ctx) {
 		for run := 0; run < 3; run++ {
-			if err := restart(c, r.app); err != nil {
+			if err := r.app.Start(c); err != nil {
 				t.Errorf("Start: %v", err)
 				return
 			}
@@ -158,7 +151,7 @@ func TestSparesBoundedBySuspendedJobs(t *testing.T) {
 	var runs []int
 	r.env.Spawn("main", rt.UnpinnedCore, func(c rt.Ctx) {
 		for run := 0; run < 2; run++ {
-			if err := restart(c, r.app); err != nil {
+			if err := r.app.Start(c); err != nil {
 				t.Errorf("Start: %v", err)
 				return
 			}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/yasmin-rt/yasmin/internal/rt"
-	"github.com/yasmin-rt/yasmin/internal/trace"
 )
 
 // TableEntry is one slot of an off-line schedule: at Offset within the table
@@ -153,21 +152,9 @@ func (a *App) runOfflineEntry(c rt.Ctx, f *fiber, e *TableEntry, release time.Du
 		ac.holder = nil
 		j.accel = NoAccel
 	}
-	a.rec.Record(trace.JobRecord{
-		Task:     t.d.Name,
-		TaskID:   int(t.id),
-		Job:      j.taskSeq,
-		Version:  int(j.version),
-		Core:     w.core,
-		Accel:    accelName,
-		Release:  release,
-		Start:    j.start,
-		Finish:   now,
-		Deadline: j.absDL,
-		Missed:   now > j.absDL,
-	})
+	a.recordCompletion(j, w, now, accelName, false)
 	a.accountEnergy(j, heldInst)
-	a.freeJobLocked(c, j)
+	a.freeJob(c, j, true)
 	w.current = nil
 	a.mu.Unlock(c)
 }

@@ -1265,10 +1265,7 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 	// Instant retirements (removed tasks with no in-flight jobs) and topic
 	// reaping.
 	for _, id := range tx.removeOrder {
-		t := &a.tasks[id]
-		if t.state == taskDraining && t.live.Load() == 0 {
-			a.finishRetireLocked(t, now)
-		}
+		a.retireDrainedLocked(&a.tasks[id], now)
 	}
 	a.reapDeadTopicsLocked()
 	// Scheduler grid: the GCD may have changed. Release-heap keys are

@@ -22,7 +22,7 @@ import (
 // per-publisher order. One forwarder per topic (the data plane fans out
 // to all remote nodes itself); nil uninstalls. Declaration-time only.
 func (a *App) SetTopicForwarder(c CID, fn func(pub TID, v any)) error {
-	if a.started.Load() {
+	if a.Started() {
 		return ErrStarted
 	}
 	tp, err := a.topicByID(c)
@@ -41,7 +41,7 @@ func (a *App) SetTopicForwarder(c CID, fn func(pub TID, v any)) error {
 // a no-op on the simulation backend (whose engine serialises all
 // threads, keeping the locked path deterministic).
 func (a *App) MarkTopicRemote(c CID) error {
-	if a.started.Load() {
+	if a.Started() {
 		return ErrStarted
 	}
 	tp, err := a.topicByID(c)

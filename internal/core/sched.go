@@ -24,19 +24,21 @@ type slowRelease struct {
 // environment. A stopped App can be started again after altering the task
 // set (multi-mode scheduling).
 func (a *App) Start(c rt.Ctx) error {
-	if a.started.Load() {
+	if a.started.Load() && !a.stopping.Load() {
 		return ErrStarted
+	}
+	// A stopped run's threads may still be draining; wait them out before
+	// mutating shared state and so the stopping flag can be reset safely.
+	// The wait comes before reconfigMu: a draining job may itself call
+	// Reconfigure, and must not block on a lock held by this wait.
+	for a.workersLive.Load() > 0 || a.schedLive.Load() > 0 {
+		c.Sleep(100 * time.Microsecond)
 	}
 	// Serialise against live-reconfiguration transactions: a Reconfigure
 	// racing Start must observe either the stopped or the fully started
 	// application, never the half-initialised tables.
 	a.reconfigMu.Lock(c)
 	defer a.reconfigMu.Unlock(c)
-	// A previous run's threads may still be draining; wait them out before
-	// mutating shared state and so the stopping flag can be reset safely.
-	for a.workersLive.Load() > 0 || a.schedLive.Load() > 0 {
-		c.Sleep(100 * time.Microsecond)
-	}
 	if err := a.resolve(); err != nil {
 		return err
 	}
@@ -340,7 +342,7 @@ func (a *App) releaseDue(c rt.Ctx, now time.Duration) (released int, due time.Du
 			}
 			a.consumeInputs(t)
 			c.Charge(costs.QueueOpBase)
-			if a.releaseJobApp(c, t, sr.rel, sr.rel) != nil {
+			if a.releaseJob(c, t, sr.rel, sr.rel) != nil {
 				released++
 			}
 		}
@@ -370,7 +372,7 @@ func (a *App) releasePendingDataLocked(c rt.Ctx, now time.Duration) int {
 		for a.allInputsReady(t) {
 			stamp := a.consumeInputs(t)
 			c.Charge(costs.QueueOpBase)
-			if a.releaseJobApp(c, t, now, stamp) == nil {
+			if a.releaseJob(c, t, now, stamp) == nil {
 				break
 			}
 			released++
@@ -391,10 +393,9 @@ func (a *App) noteDataReadyLocked(t *task) {
 	a.dataPendingN.Store(int32(len(a.dataPending)))
 }
 
-// fillJob initialises a freshly allocated job of t. Caller holds the sync
-// domain guarding t's scheduling fields: the home shard lock (phase 1,
-// TaskActivate) or App.mu (phase 2, successor releases — commits write
-// those tasks' fields under App.mu too).
+// fillJob initialises a freshly allocated job of t. Caller holds t's home
+// shard lock, the sync domain of t's scheduling fields (commits write them
+// under App.mu plus that lock).
 //
 //yasmin:noalloc
 func (a *App) fillJob(j *job, t *task, release, stamp time.Duration) {
@@ -418,7 +419,7 @@ func (a *App) fillJob(j *job, t *task, release, stamp time.Duration) {
 	j.effPrio.Store(j.basePrio)
 	j.state.Store(jobReady)
 	j.fastSel = t.fastSel
-	j.fastPath = t.fastDone
+	j.isolated = t.isolated
 }
 
 // releaseJobShardLocked creates and enqueues one job of t directly on sh.
@@ -444,22 +445,19 @@ func (a *App) releaseJobShardLocked(sh *releaseShard, si int, t *task, release, 
 	return j
 }
 
-// releaseJobApp creates one job of t and routes it to the home shard.
-// Caller holds App.mu (and no shard lock).
-func (a *App) releaseJobApp(c rt.Ctx, t *task, release, stamp time.Duration) *job {
-	j := a.allocJob()
-	if j == nil {
-		a.overruns.Add(1)
-		return nil
+// releaseJob creates one job of t on its home shard and charges the queue
+// operation. Caller may hold App.mu but no shard lock.
+//
+//yasmin:noalloc
+func (a *App) releaseJob(c rt.Ctx, t *task, release, stamp time.Duration) *job {
+	sh, si := a.lockHomeShard(t)
+	j := a.releaseJobShardLocked(sh, int(si), t, release, stamp)
+	var cost time.Duration
+	if j != nil {
+		cost = queueOpCost(a.env.Costs(), sh.q)
 	}
-	a.fillJob(j, t, release, stamp)
-	t.live.Add(1)
-	if !a.pushReady(c, j) {
-		t.live.Add(-1)
-		a.overruns.Add(1)
-		a.recycleJobUnreleased(j) //yasmin:alloc-ok overrun recovery, a reconfiguration-scale event
-		return nil
-	}
+	sh.mu.Unlock()
+	c.Charge(cost)
 	return j
 }
 
@@ -616,18 +614,7 @@ func (a *App) TaskActivate(c rt.Ctx, id TID) error {
 		return err
 	}
 	t := &a.tasks[id]
-	// Home shard lock via load/lock/re-validate (a commit may move the task).
-	var sh *releaseShard
-	var si int32
-	for {
-		si = t.shard.Load()
-		sh = a.shards[si]
-		sh.mu.Lock()
-		if t.shard.Load() == si {
-			break
-		}
-		sh.mu.Unlock()
-	}
+	sh, si := a.lockHomeShard(t)
 	if t.state != taskRunning {
 		st := t.state
 		name := t.d.Name

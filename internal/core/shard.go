@@ -173,32 +173,40 @@ func (a *App) wakeAllWorkers() {
 	}
 }
 
-// pushReady enqueues an already-allocated ready job on its task's home
-// shard, resolving the home lock with a load/lock/re-validate loop (a
-// commit may move the task between shards concurrently). Caller may hold
-// App.mu (rank 2 -> 3 is legal) but no shard lock. Returns false on queue
-// overflow — structurally impossible since every queue holds the whole job
-// pool, but kept defensive.
-func (a *App) pushReady(c rt.Ctx, j *job) bool {
-	t := j.t
+// lockHomeShard locks t's home shard and returns it with its index,
+// resolving the home with a load/lock/re-validate loop: a commit moving the
+// task stores the new index under the OLD shard's lock, so re-reading the
+// same index after locking means the caller holds the current home lock.
+// Caller may hold App.mu (rank 2 -> 3 is legal) but no shard lock.
+//
+//yasmin:noalloc
+func (a *App) lockHomeShard(t *task) (*releaseShard, int32) {
 	for {
 		si := t.shard.Load()
 		sh := a.shards[si]
 		sh.mu.Lock()
-		if t.shard.Load() != si {
-			sh.mu.Unlock()
-			continue
+		if t.shard.Load() == si {
+			return sh, si
 		}
-		err := sh.q.push(j)
-		if err == nil {
-			j.shardIdx.Store(si)
-			sh.nready.Add(1)
-		}
-		cost := queueOpCost(a.env.Costs(), sh.q)
 		sh.mu.Unlock()
-		c.Charge(cost)
-		return err == nil
 	}
+}
+
+// pushReady enqueues an already-allocated ready job on its task's home
+// shard. Caller may hold App.mu but no shard lock. Returns false on queue
+// overflow — structurally impossible since every queue holds the whole job
+// pool, but kept defensive.
+func (a *App) pushReady(c rt.Ctx, j *job) bool {
+	sh, si := a.lockHomeShard(j.t)
+	err := sh.q.push(j)
+	if err == nil {
+		j.shardIdx.Store(si)
+		sh.nready.Add(1)
+	}
+	cost := queueOpCost(a.env.Costs(), sh.q)
+	sh.mu.Unlock()
+	c.Charge(cost)
+	return err == nil
 }
 
 // SchedStats returns the scheduler counters for the current run: idle-list

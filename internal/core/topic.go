@@ -308,7 +308,7 @@ func (tp *topic) isPub(t TID) bool {
 // CID space and the MaxChannels budget with Table-1 channels; a channel is
 // exactly a Reject topic with a single anonymous cursor.
 func (a *App) TopicDecl(name string, opts TopicOpts) (CID, error) {
-	if a.started.Load() {
+	if a.Started() {
 		return -1, ErrStarted
 	}
 	if name == "" {
@@ -403,7 +403,7 @@ func (a *App) killTopicLocked(tp *topic) {
 // the wall-clock backend a multi-publisher topic gets a lock-free MPSC
 // fan-in ring so publishers never contend on the App lock.
 func (a *App) TopicPub(t TID, c CID) error {
-	if a.started.Load() {
+	if a.Started() {
 		return ErrStarted
 	}
 	if _, err := a.taskByID(t); err != nil {
@@ -427,7 +427,7 @@ func (a *App) TopicPub(t TID, c CID) error {
 // entries are retained until the slowest subscriber consumed them (Reject)
 // or overwritten per the overflow policy.
 func (a *App) TopicSub(t TID, c CID) error {
-	if a.started.Load() {
+	if a.Started() {
 		return ErrStarted
 	}
 	if _, err := a.taskByID(t); err != nil {

@@ -153,7 +153,7 @@ type version struct {
 //
 // Locking: the scheduling-hot fields (state, nextRelease, lastActivation,
 // everActivated, jobSeq, effDeadline, staticPrio, root, hasIns, fastSel,
-// fastDone, relIdx and d itself) are guarded by the task's HOME SHARD lock
+// isolated, relIdx and d itself) are guarded by the task's HOME SHARD lock
 // (shards[t.shard].mu): the scheduler tick and TaskActivate
 // read and write them under the shard lock alone, and a reconfiguration
 // commit — which holds App.mu — additionally takes the home shard lock
@@ -173,11 +173,12 @@ type task struct {
 	// locking holds the task's current home lock.
 	shard atomic.Int32
 	// live counts in-flight jobs (ready + running + suspended); a Draining
-	// task retires when it reaches zero. Atomic: the lock-free completion
-	// path decrements it without App.mu.
+	// task retires when it reaches zero. Atomic: an isolated job's
+	// completion decrements it without App.mu.
 	live atomic.Int32
-	// draining mirrors state == taskDraining for the lock-free completion
-	// path: only when it is set does freeJob take App.mu to retire.
+	// draining mirrors state == taskDraining for completions that run
+	// without App.mu: only when it is set does the freeing of a task's last
+	// job lead to App.mu and retirement (freeJob).
 	draining atomic.Bool
 	// retireEpoch is the reconfiguration epoch whose transaction started
 	// this task's drain.
@@ -215,10 +216,14 @@ type task struct {
 	// or user-callback state (no accelerator-bound versions, not SelectUser):
 	// workers select their version lock-free.
 	fastSel bool
-	// fastDone marks graph-isolated tasks (no in or out edges): completion
-	// has no successors to release or tokens to consume, so the worker
-	// finishes the job without App.mu.
-	fastDone bool
+	// isolated marks graph-isolated tasks (no in or out edges): completion
+	// has no successors to release or tokens to consume, so completeJob
+	// takes App.mu for such a job only if it holds an accelerator.
+	isolated bool
+	// graphName is the end-to-end record name of a sink's graph instances
+	// ("graph:" + name), built at derive time for data-activated tasks so
+	// completion records it without allocating. Read under App.mu.
+	graphName string
 
 	// relIdx is the task's slot in its home shard's release heap, -1 while
 	// not armed (periodic roots only; see release.go).
@@ -342,10 +347,12 @@ type job struct {
 	// (a boosted job is re-located with a load/lock/re-validate loop on
 	// this field).
 	shardIdx atomic.Int32
-	// fastSel / fastPath capture the task's fastSel / fastDone flags at
-	// release time (stable for the job's lifetime without further locking).
+	// fastSel / isolated capture the task's flags at release time (stable
+	// for the job's lifetime without further locking): prepareRun takes
+	// App.mu unless fastSel, completeJob unless isolated and holding no
+	// accelerator.
 	fastSel  bool
-	fastPath bool
+	isolated bool
 	// nextFree links the job into the lock-free pool freelist; atomic so a
 	// racing allocator's stale read of a just-pushed slot is well-defined
 	// (the CAS generation check discards the value).

@@ -8,36 +8,16 @@ import (
 // method (Section 3.2), preferring versions whose accelerator is free. When
 // every admissible version targets a busy accelerator, it returns the
 // accelerator of the preferred version in blockedOn so the caller parks the
-// job there (with PIP). Caller holds the lock.
-func (a *App) selectVersion(c rt.Ctx, j *job) (vid VID, blockedOn HID) {
-	t := j.t
-	// Order candidate versions by method preference into a scratch slice.
-	// The slice is small (MaxVersionsPerTask) and stack-allocated in
-	// practice.
-	order := make([]VID, 0, len(t.versions))
-	switch a.cfg.VersionSelect {
-	case SelectEnergy:
-		order = a.orderByEnergy(t, order, a.vselRest)
-	case SelectTradeoff:
-		order = a.orderByTradeoff(t, order)
-	case SelectMode:
-		order = a.filterByMode(t, order)
-	case SelectBitmask:
-		order = a.filterByMask(t, order)
-	case SelectUser:
+// job there (with PIP). Called on w's fiber. The caller holds App.mu unless
+// j is fastSel: then no version is accelerator-bound and the method is not
+// SelectUser, so the first preference is returned without touching
+// accelerator state.
+func (a *App) selectVersion(c rt.Ctx, w *workerState, j *job) (vid VID, blockedOn HID) {
+	if a.cfg.VersionSelect == SelectUser {
 		return a.selectByUser(c, j)
-	default: // SelectFirst
-		for i := range t.versions {
-			order = append(order, VID(i))
-		}
 	}
-	if len(order) == 0 {
-		// No version admissible under the method; fall back to declaration
-		// order rather than dropping the job.
-		for i := range t.versions {
-			order = append(order, VID(i))
-		}
-	}
+	t := j.t
+	order := a.versionOrder(w, t)
 	// First preference whose accelerator pool has an instance this job may
 	// take (free, and not reserved for a more urgent parked waiter).
 	for _, v := range order {
@@ -51,13 +31,38 @@ func (a *App) selectVersion(c rt.Ctx, j *job) (vid VID, blockedOn HID) {
 	return order[0], t.versions[order[0]].accel
 }
 
+// versionOrder lists t's versions by the configured method's preference
+// into w's scratch. The choice depends only on the task's version table
+// (immutable while the task has a live job), the mode/mask atomics and the
+// battery (a leaf behind its own rank-6 lock). When no version is
+// admissible under the method, it falls back to declaration order rather
+// than dropping the job, so the result is never empty.
+func (a *App) versionOrder(w *workerState, t *task) []VID {
+	order := w.vselOrder[:0]
+	switch a.cfg.VersionSelect {
+	case SelectEnergy:
+		order = a.orderByEnergy(t, order, w.vselRest)
+	case SelectTradeoff:
+		order = a.orderByTradeoff(t, order)
+	case SelectMode:
+		order = a.filterByMode(t, order)
+	case SelectBitmask:
+		order = a.filterByMask(t, order)
+	}
+	if len(order) == 0 {
+		for i := range t.versions {
+			order = append(order, VID(i))
+		}
+	}
+	return order
+}
+
 // orderByEnergy implements SelectEnergy: among affordable versions (battery
 // at or above MinBattery) prefer the highest Quality; unaffordable versions
 // come last, cheapest first (graceful degradation). The unaffordable
-// overflow goes into the caller-owned scratch slice (the App-level buffer
-// under the lock, the worker-private one on the lock-free fast path):
-// version selection runs once per job, so a per-call allocation here was
-// measurable on the hot path.
+// overflow goes into the worker-private scratch slice: version selection
+// runs once per job, so a per-call allocation here was measurable on the
+// hot path.
 func (a *App) orderByEnergy(t *task, order, scratch []VID) []VID {
 	level := a.batteryLevelFor(t)
 	afford := order[:0]
@@ -95,35 +100,6 @@ func (a *App) orderByEnergy(t *task, order, scratch []VID) []VID {
 		}
 	}
 	return append(afford, rest...)
-}
-
-// selectVersionFast is the lock-free selection path for fastSel tasks: no
-// version is accelerator-bound and the method is not SelectUser, so the
-// choice depends only on the task's immutable version table, the mode/mask
-// atomics and the battery (a leaf behind its own rank-6 lock). The task
-// holds a live job, so a reconfiguration cannot mutate its versions
-// concurrently. Worker-private scratch keeps the path allocation-free.
-func (a *App) selectVersionFast(c rt.Ctx, w *workerState, j *job) VID {
-	t := j.t
-	order := w.vselOrder[:0]
-	switch a.cfg.VersionSelect {
-	case SelectEnergy:
-		order = a.orderByEnergy(t, order, w.vselRest)
-	case SelectTradeoff:
-		order = a.orderByTradeoff(t, order)
-	case SelectMode:
-		order = a.filterByMode(t, order)
-	case SelectBitmask:
-		order = a.filterByMask(t, order)
-	default: // SelectFirst
-		for i := range t.versions {
-			order = append(order, VID(i))
-		}
-	}
-	if len(order) == 0 {
-		return 0
-	}
-	return order[0]
 }
 
 // batteryLevelFor queries the task's battery callback, the app battery, or

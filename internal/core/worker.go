@@ -50,7 +50,8 @@ type workerState struct {
 	lastSignalTick int64
 
 	// vselOrder/vselRest are the worker-private version-selection scratch
-	// slices used by the lock-free selection fast path (selectVersionFast).
+	// slices (versionOrder): selection runs on the worker's own fiber, with
+	// or without App.mu, and never allocates.
 	vselOrder []VID
 	vselRest  []VID
 }
@@ -199,9 +200,14 @@ func (a *App) runJob(c rt.Ctx, f *fiber, j *job) {
 	sh.mu.Lock()
 	w.current = nil
 	sh.mu.Unlock()
-	// Completion bookkeeping runs with no shard lock held: the fast path is
-	// lock-free, the slow path takes App.mu (rank 2 < 3).
-	a.completeJob(c, w, j)
+	// Completion bookkeeping runs with no shard lock held: it may take
+	// App.mu (rank 2 < 3).
+	if t := a.completeJob(c, w, j); t != nil {
+		// An isolated job was its draining task's last: retire the task.
+		a.mu.Lock(c)
+		a.retireDrainedLocked(t, c.Now())
+		a.mu.Unlock(c)
+	}
 }
 
 // runBody calls version v's function for x's job. A panic in the body costs
@@ -273,52 +279,56 @@ func (a *App) workVisible(w *workerState, sh *releaseShard) bool {
 
 // prepareRun selects the version of a fresh job and acquires its
 // accelerator (possibly parking the job on its waitlist with PIP). Returns
-// false when the job was parked instead of made runnable. Runs with no
-// locks held: the selection fast path (no accelerator-bound versions,
-// non-user policy) stays lock-free; everything else takes App.mu.
+// false when the job was parked instead of made runnable. Called with no
+// locks held. A fastSel job (no accelerator-bound version, no user policy)
+// selects without App.mu: its choice reads only the task's version table,
+// the mode/mask atomics and the battery.
 func (a *App) prepareRun(c rt.Ctx, w *workerState, j *job) bool {
-	if j.fastSel {
-		j.version = a.selectVersionFast(c, w, j)
-		return true
+	locked := !j.fastSel
+	if locked {
+		a.mu.Lock(c)
 	}
-	a.mu.Lock(c)
-	vid, blockedOn := a.selectVersion(c, j)
+	vid, blockedOn := a.selectVersion(c, w, j)
+	if blockedOn == NoAccel {
+		j.version = vid
+		if h := j.t.versions[vid].accel; h != NoAccel {
+			if inst := a.poolAvailableForLocked(j, h); inst != NoAccel {
+				a.acquireInstanceLocked(c, inst, j)
+				j.accel = inst
+			} else {
+				// The pool filled (or a more urgent waiter holds the
+				// admission slot) since selection looked: park like any
+				// other contender.
+				blockedOn = h
+			}
+		}
+	}
 	if blockedOn != NoAccel {
 		a.parkOnAccel(c, j, blockedOn)
+	}
+	if locked {
 		a.mu.Unlock(c)
-		return false
 	}
-	j.version = vid
-	v := &j.t.versions[vid]
-	if v.accel != NoAccel {
-		inst := a.poolAvailableForLocked(j, v.accel)
-		if inst == NoAccel {
-			// The pool filled (or a more urgent waiter holds the admission
-			// slot) since selection looked: park like any other contender.
-			a.parkOnAccel(c, j, v.accel)
-			a.mu.Unlock(c)
-			return false
-		}
-		a.acquireInstanceLocked(c, inst, j)
-		j.accel = inst
-	}
-	a.mu.Unlock(c)
-	return true
+	return blockedOn == NoAccel
 }
 
 // completeJob performs completion bookkeeping: accelerator release,
 // successor activation, recording, energy accounting, pool recycling.
-// Called with no locks held. Isolated jobs (no graph edges, no accelerator)
-// take the lock-free fast path; everything else takes App.mu.
-func (a *App) completeJob(c rt.Ctx, w *workerState, j *job) {
-	if j.fastPath && j.accel == NoAccel && j.nested == NoAccel {
-		a.completeJobFast(c, w, j)
-		return
-	}
+// Called with no locks held. App.mu is taken only for a job that touches
+// shared graph or accelerator state: one with graph edges (isolated unset
+// at release) or holding an accelerator instance. An isolated job
+// completes on lock-free and leaf-locked structures alone; when it was the
+// last job of a draining task, completeJob returns that task for the caller
+// to retire under App.mu.
+//
+//yasmin:noalloc
+func (a *App) completeJob(c rt.Ctx, w *workerState, j *job) *task {
 	now := c.Now()
-	costs := a.env.Costs()
 	a.recordTaskError(j.err)
-	a.mu.Lock(c)
+	locked := !j.isolated || j.accel != NoAccel || j.nested != NoAccel
+	if locked {
+		a.mu.Lock(c)
+	}
 	heldInst := j.accel
 	accelName := ""
 	if heldInst != NoAccel {
@@ -336,55 +346,50 @@ func (a *App) completeJob(c rt.Ctx, w *workerState, j *job) {
 		a.releaseAccel(c, j)
 	}
 	j.effPrio.Store(j.basePrio)
-	// Activate successors whose inputs are all present.
-	moreWork := false
-	for _, e := range j.t.outEdges {
-		if !e.pushStamp(j.stamp) {
-			a.overruns.Add(1)
-			continue
-		}
-		dst := &a.tasks[e.dst]
-		// Periodic/sporadic roots are released by the scheduler (or
-		// TaskActivate); a token arriving on their feedback edge only
-		// enables the next timed release. Draining successors get no new
-		// activations: their in-flight jobs finish, nothing more.
-		if !dst.root && dst.state == taskRunning && a.allInputsReady(dst) {
-			stamp := a.consumeInputs(dst)
-			c.Charge(costs.QueueOpBase)
-			if a.releaseJobApp(c, dst, now, stamp) != nil {
-				moreWork = true
+	moreWork, sink := false, false
+	if locked {
+		// Activate successors whose inputs are all present. The adjacency
+		// lists are App.mu state: a commit rebuilds them while lock-free
+		// completions run, so only the locked path reads them.
+		for _, e := range j.t.outEdges {
+			if !e.pushStamp(j.stamp) {
+				a.overruns.Add(1)
+				continue
+			}
+			dst := &a.tasks[e.dst]
+			// Periodic/sporadic roots are released by the scheduler (or
+			// TaskActivate); a token arriving on their feedback edge only
+			// enables the next timed release. Draining successors get no
+			// new activations: their in-flight jobs finish, nothing more.
+			if !dst.root && dst.state == taskRunning && a.allInputsReady(dst) {
+				stamp := a.consumeInputs(dst)
+				c.Charge(a.env.Costs().QueueOpBase)
+				if a.releaseJob(c, dst, now, stamp) != nil {
+					moreWork = true
+				}
 			}
 		}
+		sink = len(j.t.inEdges) > 0 && len(j.t.outEdges) == 0
 	}
-	a.recordCompletion(j, w, now, accelName,
-		len(j.t.inEdges) > 0 && len(j.t.outEdges) == 0)
+	a.recordCompletion(j, w, now, accelName, sink)
 	a.accountEnergy(j, heldInst)
-	a.freeJobLocked(c, j)
-	a.mu.Unlock(c)
+	drained := a.freeJob(c, j, locked)
+	if locked {
+		a.mu.Unlock(c)
+	}
 	if moreWork {
 		a.dispatch(c)
 	}
-}
-
-// completeJobFast retires an isolated job without App.mu: recording, energy
-// accounting and pool recycling all run on lock-free or leaf-locked
-// structures. Eligibility (fastPath) is derived at release time: the task
-// has no in- or out-edges, so no successor activation and no graph record.
-func (a *App) completeJobFast(c rt.Ctx, w *workerState, j *job) {
-	now := c.Now()
-	a.recordTaskError(j.err)
-	j.effPrio.Store(j.basePrio)
-	a.recordCompletion(j, w, now, "", false)
-	a.accountEnergy(j, NoAccel)
-	a.freeJob(c, j)
+	return drained
 }
 
 // recordCompletion emits the job record (and, when sink is set, the
-// end-to-end graph record). Safe with or without App.mu: the recorder has
-// its own leaf lock, and sink is the caller's fact — the slow path derives
-// it from the adjacency lists it already holds App.mu for, the fast path is
-// structurally edge-free. recordCompletion must not touch the lists itself:
-// reconfiguration commits rebuild them while lock-free completions run.
+// end-to-end graph record under the task's cached graph name). Safe with or
+// without App.mu: the recorder has its own leaf lock, and sink is the
+// caller's fact — derived from the adjacency lists only when App.mu is
+// held, false for an isolated job. recordCompletion must not touch the
+// lists itself: reconfiguration commits rebuild them while lock-free
+// completions run.
 func (a *App) recordCompletion(j *job, w *workerState, now time.Duration, accelName string, sink bool) {
 	rec := trace.JobRecord{
 		Task:     j.name,
@@ -405,7 +410,7 @@ func (a *App) recordCompletion(j *job, w *workerState, now time.Duration, accelN
 	if sink {
 		graphDL := j.stamp + j.t.effDeadline
 		a.rec.Record(trace.JobRecord{
-			Task:     "graph:" + j.name,
+			Task:     j.t.graphName,
 			TaskID:   int(j.t.id),
 			Job:      int64(j.taskSeq),
 			Version:  int(j.version),

@@ -45,6 +45,8 @@ func (b *Battery) RemainingMJ() float64 {
 }
 
 // Drain removes energy corresponding to running a consumer of powerMW for d.
+//
+//yasmin:noalloc
 func (b *Battery) Drain(powerMW float64, d time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -56,6 +58,8 @@ func (b *Battery) Drain(powerMW float64, d time.Duration) {
 
 // DrainMJ removes an explicit amount of millijoules (e.g. a version's
 // declared per-job energy budget).
+//
+//yasmin:noalloc
 func (b *Battery) DrainMJ(mj float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -66,6 +66,7 @@ type Env interface {
 	//yasmin:noalloc
 	Costs() *platform.CostModel
 	// Platform returns the hardware description, or nil for the OS backend.
+	//yasmin:noalloc
 	Platform() *platform.Platform
 }
 
@@ -75,9 +76,11 @@ type Thread interface {
 	Name() string
 	// Unpark wakes the thread from Park. A token is buffered if the thread
 	// is not parked, preventing lost wakeups.
+	//yasmin:noalloc
 	Unpark()
 	// Interrupt delivers an asynchronous interrupt (the preemption signal):
 	// an ongoing Sleep/Compute/Park returns with interrupted=true.
+	//yasmin:noalloc
 	Interrupt()
 	// Done reports whether the thread function has returned.
 	Done() bool

@@ -192,9 +192,11 @@ type AccelEvent struct {
 // the record hot path, before the Recorder takes its own mutex. Methods may
 // be called concurrently.
 type Stream interface {
+	//yasmin:noalloc
 	StreamJob(JobRecord)
 	StreamReconfig(ReconfigRecord)
 	StreamRetire(RetireEvent)
+	//yasmin:noalloc
 	StreamAccel(AccelEvent)
 }
 
@@ -262,7 +264,7 @@ func (r *Recorder) Declare(name string) {
 func (r *Recorder) declareLocked(name string) *TaskStats {
 	ts := r.perTask[name]
 	if ts == nil {
-		ts = &TaskStats{
+		ts = &TaskStats{ //yasmin:alloc-ok a task's first record when Declare did not run first
 			Task:     name,
 			Response: NewStat(name + "/response"),
 			Versions: make(map[int]int64),
@@ -277,6 +279,8 @@ func (r *Recorder) declareLocked(name string) *TaskStats {
 }
 
 // Record adds a completed job.
+//
+//yasmin:noalloc
 func (r *Recorder) Record(j JobRecord) {
 	if b := r.stream.Load(); b != nil {
 		b.s.StreamJob(j)
@@ -320,6 +324,8 @@ func (r *Recorder) RecordRetire(e RetireEvent) {
 }
 
 // RecordAccel adds one accelerator-arbitration event.
+//
+//yasmin:noalloc
 func (r *Recorder) RecordAccel(e AccelEvent) {
 	if b := r.stream.Load(); b != nil {
 		b.s.StreamAccel(e)
@@ -542,11 +548,13 @@ func NewOverheads() *Overheads {
 }
 
 // Add records one overhead sample.
+//
+//yasmin:noalloc
 func (o *Overheads) Add(k OverheadKind, d time.Duration) {
 	o.mu.Lock()
 	st := o.byKind[k]
 	if st == nil {
-		st = NewStat(k.String())
+		st = NewStat(k.String()) //yasmin:alloc-ok the first sample of a kind
 		o.byKind[k] = st
 	}
 	o.mu.Unlock()

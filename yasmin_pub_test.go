@@ -85,6 +85,73 @@ func TestFacadeWallClockRun(t *testing.T) {
 	}
 }
 
+// A stopped App starts again through the public API. Start waits for the
+// stopped run to drain, here through a job that calls Reconfigure while it
+// drains, and the task set then runs once more.
+func TestFacadeStopThenStartRunsAgain(t *testing.T) {
+	eng := yasmin.NewEngine(11)
+	env, err := yasmin.NewSimEnv(eng, yasmin.OdroidXU4(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := yasmin.New(yasmin.Config{
+		Workers:       2,
+		WorkerCores:   []int{4, 5},
+		SchedulerCore: 6,
+	}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid, err := app.TaskDecl(yasmin.TData{Name: "tick", Period: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped, drainReconfigs := false, 0
+	if _, err := app.VersionDecl(tid, func(x *yasmin.ExecCtx, _ any) error {
+		if err := x.Compute(5 * time.Millisecond); err != nil {
+			return err
+		}
+		if !stopped {
+			return nil
+		}
+		drainReconfigs++
+		return x.Reconfigure(func(*yasmin.Reconfig) error { return nil })
+	}, nil, yasmin.VSelect{}); err != nil {
+		t.Fatal(err)
+	}
+	env.Spawn("main", -1, func(c yasmin.Ctx) {
+		if err := app.Start(c); err != nil {
+			t.Errorf("start: %v", err)
+			return
+		}
+		// The job released at 10ms is still computing at 12ms.
+		c.Sleep(12 * time.Millisecond)
+		stopped = true
+		app.Stop(c)
+		if err := app.Start(c); err != nil {
+			t.Errorf("start after stop: %v", err)
+			app.Cleanup(c)
+			return
+		}
+		stopped = false
+		c.Sleep(100 * time.Millisecond)
+		app.Stop(c)
+		app.Cleanup(c)
+	})
+	// A bounded horizon: a Start that deadlocked against the draining job
+	// would otherwise poll forever.
+	if err := eng.Run(yasmin.SimTime(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if drainReconfigs != 1 {
+		t.Errorf("%d draining jobs reconfigured, want 1", drainReconfigs)
+	}
+	// Two jobs in the first run (0 and 10ms), ten in the second.
+	if st := app.Recorder().Task("tick"); st == nil || st.Jobs < 12 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want at least 12 jobs and no miss", st)
+	}
+}
+
 func TestFacadeMultiVersionWithBattery(t *testing.T) {
 	eng := yasmin.NewEngine(6)
 	env, err := yasmin.NewSimEnv(eng, yasmin.ApalisTK1(), nil)
