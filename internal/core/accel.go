@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"github.com/yasmin-rt/yasmin/internal/rt"
 	"github.com/yasmin-rt/yasmin/internal/taskset"
@@ -104,18 +103,23 @@ func (a *App) insertWaiterLocked(head HID, j *job) {
 	ac.waiters[pos] = j
 }
 
-// staleWaiterResortBug re-introduces the pre-fix PR 5 defect (stale waiter
-// slots after a chain boost) when enabled: boostPoolLocked skips the
-// re-sort, so a boosted holder parked on a second pool keeps its
-// park-time position and less urgent waiters can be granted ahead of it.
-// It exists solely so the scenario fuzzer's self-test can prove the
-// generator + checker rediscover a real, historical bug; nothing outside
-// tests may enable it.
-var staleWaiterResortBug atomic.Bool
+// resortWaiter is the re-sort boostPoolLocked applies to a boosted holder
+// parked on a second pool: resortWaiterLocked, unless
+// TestingSetStaleWaiterResortBug swapped in the historical stale-waiter
+// defect (stale waiter slots after a chain boost), which skips the re-sort,
+// so the holder keeps its park-time position and less urgent waiters can be
+// granted ahead of it. The swap exists solely so the scenario fuzzer's
+// self-test can prove the generator + checker rediscover a real bug.
+var resortWaiter = (*App).resortWaiterLocked
 
-// TestingSetStaleWaiterResortBug toggles the seeded PR 5 regression (see
-// staleWaiterResortBug). Test-only; the production path never sets it.
-func TestingSetStaleWaiterResortBug(on bool) { staleWaiterResortBug.Store(on) }
+// TestingSetStaleWaiterResortBug toggles the seeded stale-waiter regression
+// (see resortWaiter). Test-only: call it only while no App runs.
+func TestingSetStaleWaiterResortBug(on bool) {
+	resortWaiter = (*App).resortWaiterLocked
+	if on {
+		resortWaiter = func(*App, HID, *job) {}
+	}
+}
 
 // resortWaiterLocked re-inserts a parked job whose effective priority just
 // changed: a waiter's slot is assigned at park time, so a later PIP boost
@@ -181,9 +185,7 @@ func (a *App) boostPoolLocked(c rt.Ctx, head HID, prio int64) {
 		if holder.state.Load() == jobAccelWait && holder.waitingOn != NoAccel {
 			// The holder is itself parked on another pool: fix its now-stale
 			// waiter slot and push the boost one hop further down the chain.
-			if !staleWaiterResortBug.Load() {
-				a.resortWaiterLocked(holder.waitingOn, holder)
-			}
+			resortWaiter(a, holder.waitingOn, holder)
 			a.boostPoolLocked(c, holder.waitingOn, prio)
 		}
 	}

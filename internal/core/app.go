@@ -419,6 +419,19 @@ func resetTaskSlot(t *task, id TID) {
 	t.pendingData = false
 }
 
+// resetRun readies t for a run or a new incarnation: its first release falls
+// at now plus its offset, and it has no job or activation yet. Shared by
+// Start and the commit that admits a staged task. Caller holds t's home
+// shard lock, or the App is quiescent.
+func (t *task) resetRun(now time.Duration) {
+	t.nextRelease = now + t.d.ReleaseOffset
+	t.lastActivation = 0
+	t.everActivated = false
+	t.jobSeq = 0
+	t.live.Store(0)
+	t.draining.Store(false)
+}
+
 // TaskDecl declares a task — the paper's yas_task_decl. The task has no
 // versions yet; add at least one with VersionDecl before Start.
 func (a *App) TaskDecl(d TData) (TID, error) {
@@ -447,14 +460,20 @@ func (a *App) VersionDecl(t TID, fn TaskFunc, args any, props VSelect) (VID, err
 	if err != nil {
 		return -1, err
 	}
+	return tk.addVersion(fn, args, props)
+}
+
+// addVersion checks and appends one implementation of t: the shared half of
+// VersionDecl and Reconfig.AddVersion.
+func (t *task) addVersion(fn TaskFunc, args any, props VSelect) (VID, error) {
 	if fn == nil {
-		return -1, fmt.Errorf("core: task %s: nil version function", tk.d.Name)
+		return -1, fmt.Errorf("core: task %s: nil version function", t.d.Name)
 	}
-	if len(tk.versions) == cap(tk.versions) {
-		return -1, fmt.Errorf("%w: MaxVersionsPerTask=%d", ErrTooMany, cap(tk.versions))
+	if len(t.versions) == cap(t.versions) {
+		return -1, fmt.Errorf("%w: MaxVersionsPerTask=%d", ErrTooMany, cap(t.versions))
 	}
-	id := VID(len(tk.versions))
-	tk.versions = append(tk.versions, version{fn: fn, args: args, props: props, accel: NoAccel})
+	id := VID(len(t.versions))
+	t.versions = append(t.versions, version{fn: fn, args: args, props: props, accel: NoAccel})
 	return id, nil
 }
 
@@ -524,15 +543,21 @@ func (a *App) HwAccelUse(t TID, v VID, h HID) error {
 	if err != nil {
 		return err
 	}
-	if int(v) < 0 || int(v) >= len(tk.versions) {
-		return fmt.Errorf("core: task %s has no version %d", tk.d.Name, v)
+	return a.bindAccel(tk, v, h)
+}
+
+// bindAccel checks and records that version v of t uses accelerator h: the
+// shared half of HwAccelUse and Reconfig.UseAccel.
+func (a *App) bindAccel(t *task, v VID, h HID) error {
+	if int(v) < 0 || int(v) >= len(t.versions) {
+		return fmt.Errorf("core: task %s has no version %d", t.d.Name, v)
 	}
 	if int(h) < 0 || int(h) >= a.naccels {
 		return fmt.Errorf("core: no accelerator %d", h)
 	}
 	// Bindings are normalised to the pool head: acquisition then takes any
 	// free instance of the pool.
-	tk.versions[v].accel = a.poolHead(h)
+	t.versions[v].accel = a.poolHead(h)
 	return nil
 }
 
@@ -545,10 +570,21 @@ func (a *App) ChannelDecl(name string, capacity int) (CID, error) {
 	if a.Started() {
 		return -1, ErrStarted
 	}
-	if capacity < 0 {
-		return -1, fmt.Errorf("core: channel %s: negative capacity", name)
+	opts, err := channelOpts(name, capacity)
+	if err != nil {
+		return -1, err
 	}
-	return a.declTopic(name, TopicOpts{Capacity: capacity, Policy: Reject})
+	return a.declTopic(name, opts)
+}
+
+// channelOpts checks a channel declaration and returns the topic options
+// that implement it: the shared check of ChannelDecl and
+// Reconfig.AddChannel.
+func channelOpts(name string, capacity int) (TopicOpts, error) {
+	if capacity < 0 {
+		return TopicOpts{}, fmt.Errorf("core: channel %s: negative capacity", name)
+	}
+	return TopicOpts{Capacity: capacity, Policy: Reject}, nil
 }
 
 // ChannelConnect connects src to dst through channel c —
@@ -556,7 +592,7 @@ func (a *App) ChannelDecl(name string, capacity int) (CID, error) {
 // non-periodic) is activated by the scheduler once every input edge has
 // data.
 func (a *App) ChannelConnect(src, dst TID, c CID) error {
-	return a.connect(src, dst, c, 0)
+	return a.ChannelConnectDelayed(src, dst, c, 0)
 }
 
 // ChannelConnectDelayed connects src to dst with `delay` initial tokens on
@@ -566,19 +602,11 @@ func (a *App) ChannelConnect(src, dst TID, c CID) error {
 // back edges carrying at least one delay token are permitted: the classic
 // SDF feedback-loop construction.
 func (a *App) ChannelConnectDelayed(src, dst TID, c CID, delay int) error {
-	if delay < 0 {
-		return fmt.Errorf("core: negative delay token count %d", delay)
-	}
-	if delay >= a.cfg.GraphInstanceCap {
-		return fmt.Errorf("%w: %d delay tokens with GraphInstanceCap=%d",
-			ErrTooMany, delay, a.cfg.GraphInstanceCap)
-	}
-	return a.connect(src, dst, c, delay)
-}
-
-func (a *App) connect(src, dst TID, c CID, delay int) error {
 	if a.Started() {
 		return ErrStarted
+	}
+	if err := a.checkEdge(src, dst, delay); err != nil {
+		return err
 	}
 	if _, err := a.taskByID(src); err != nil {
 		return err
@@ -586,24 +614,52 @@ func (a *App) connect(src, dst TID, c CID, delay int) error {
 	if _, err := a.taskByID(dst); err != nil {
 		return err
 	}
-	if src == dst {
-		return fmt.Errorf("core: channel self-loop on task %d", src)
-	}
 	if int(c) < 0 || int(c) >= a.ntopics {
 		return fmt.Errorf("core: no channel %d", c)
 	}
 	if len(a.freeEdgeSlots) == 0 && a.nedges == len(a.edges) {
 		return fmt.Errorf("%w: MaxChannels=%d edges", ErrTooMany, len(a.edges))
 	}
-	e := a.allocEdgeSlot()
-	*e = edge{src: src, dst: dst, ch: c, initial: delay, stamps: e.stamps}
-	if cap(e.stamps) < a.cfg.GraphInstanceCap {
-		e.stamps = make([]time.Duration, a.cfg.GraphInstanceCap)
-	} else {
-		e.stamps = e.stamps[:a.cfg.GraphInstanceCap]
-	}
-	e.head, e.count = 0, 0
+	a.newEdge(src, dst, c, delay)
 	return nil
+}
+
+// checkEdge checks an edge's shape — its delay-token count and that it is
+// no self-loop: the shared check of ChannelConnectDelayed and
+// Reconfig.ConnectDelayed.
+func (a *App) checkEdge(src, dst TID, delay int) error {
+	if delay < 0 {
+		return fmt.Errorf("core: negative delay token count %d", delay)
+	}
+	if delay >= a.cfg.GraphInstanceCap {
+		return fmt.Errorf("%w: %d delay tokens with GraphInstanceCap=%d",
+			ErrTooMany, delay, a.cfg.GraphInstanceCap)
+	}
+	if src == dst {
+		return fmt.Errorf("core: channel self-loop on task %d", src)
+	}
+	return nil
+}
+
+// newEdge takes an edge slot (recycling severed ones first) and initialises
+// it as src->dst through c carrying delay initial tokens, with an empty
+// stamp ring of GraphInstanceCap entries. Caller holds the lock (or the App
+// is quiescent); capacity was checked.
+func (a *App) newEdge(src, dst TID, c CID, delay int) *edge {
+	var e *edge
+	if n := len(a.freeEdgeSlots); n > 0 {
+		e = &a.edges[a.freeEdgeSlots[n-1]]
+		a.freeEdgeSlots = a.freeEdgeSlots[:n-1]
+	} else {
+		e = &a.edges[a.nedges]
+		a.nedges++
+	}
+	stamps := e.stamps
+	if cap(stamps) < a.cfg.GraphInstanceCap {
+		stamps = make([]time.Duration, a.cfg.GraphInstanceCap)
+	}
+	*e = edge{src: src, dst: dst, ch: c, initial: delay, stamps: stamps[:a.cfg.GraphInstanceCap]}
+	return e
 }
 
 // SetOfflineTable installs the pre-computed dispatch table for
@@ -722,10 +778,14 @@ func (a *App) prioKeyOf(t *task) int64 {
 	}
 }
 
-// resolve finishes the declaration phase: effective deadlines, root flags,
-// static priorities, and structural validation. Called by Start. Tasks left
-// draining by a reconfiguration whose jobs a previous Cleanup abandoned are
-// force-retired here (their threads are gone); retired slots are skipped.
+// resolve finishes the declaration phase: structural validation, adjacency
+// lists, effective deadlines, root flags and static priorities. Called by
+// Start. Tasks left draining by a reconfiguration whose jobs a previous
+// Cleanup abandoned are force-retired here (their threads are gone);
+// retired slots are skipped. The declared tables are checked as the target
+// of an empty transaction, with the transaction's own rules: cycles first,
+// then each task by TID, which is derived once it passed. Start is
+// quiescent, so the check takes no lock and charges no cost.
 func (a *App) resolve() error {
 	for i := 0; i < a.ntasks; i++ {
 		t := &a.tasks[i]
@@ -734,33 +794,26 @@ func (a *App) resolve() error {
 			a.finishRetireLocked(t, a.env.Now())
 		}
 	}
-	if err := a.rebuildGraphLocked(); err != nil {
+	tx := &Reconfig{a: a}
+	g := tx.graph()
+	if err := tx.checkCycles(g); err != nil {
 		return err
 	}
-	for i := 0; i < a.ntasks; i++ {
-		t := &a.tasks[i]
-		if t.state == taskRetired {
-			continue
-		}
-		if err := a.deriveTaskLocked(t); err != nil {
+	a.rebuildGraphLocked()
+	for t, d := range tx.targetTasks() {
+		if err := tx.checkTask(g, t, d); err != nil {
 			return err
 		}
-		// nextRelease is left alone: the task may still sit in the previous
-		// run's release heap, and Start re-keys every task after resetting it.
-		t.lastActivation = 0
-		t.everActivated = false
-		t.jobSeq = 0
-		t.live.Store(0)
-		t.draining.Store(false)
+		a.deriveTaskLocked(t)
 	}
 	a.resolveTopics()
 	return nil
 }
 
-// rebuildGraphLocked rebuilds the adjacency lists over alive edges and
-// re-checks acyclicity. Shared by resolve (Start) and reconfiguration
-// commits.
-func (a *App) rebuildGraphLocked() error {
+// rebuildGraphLocked rebuilds the adjacency lists over alive edges. Shared
+// by resolve (Start) and reconfiguration commits, both of which have
+// checked the graph already.
+func (a *App) rebuildGraphLocked() {
 	for i := 0; i < a.ntasks; i++ {
 		t := &a.tasks[i]
 		t.outEdges = t.outEdges[:0]
@@ -774,17 +827,13 @@ func (a *App) rebuildGraphLocked() error {
 		a.tasks[e.src].outEdges = append(a.tasks[e.src].outEdges, e)
 		a.tasks[e.dst].inEdges = append(a.tasks[e.dst].inEdges, e)
 	}
-	// Cycle check over the edge relation.
-	return a.checkAcyclic()
 }
 
 // deriveTaskLocked computes one task's derived scheduling state (root flag,
-// effective deadline, static priority) and validates its structure. The
-// adjacency lists must be current.
-func (a *App) deriveTaskLocked(t *task) error {
-	if len(t.versions) == 0 {
-		return fmt.Errorf("core: task %s has no version", t.d.Name)
-	}
+// effective deadline, static priority, home shard). The adjacency lists
+// must be current and the task must have passed Reconfig.checkTask, so
+// derivation cannot fail.
+func (a *App) deriveTaskLocked(t *task) {
 	// Derived fields are shard-guarded (the release tick reads them under
 	// the home shard lock, without App.mu), so rewriting them for a new
 	// epoch takes that lock on top of App.mu (rank 2 -> 3). A home move
@@ -795,11 +844,6 @@ func (a *App) deriveTaskLocked(t *task) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	t.root = t.d.Period > 0 || t.d.Sporadic || len(t.inEdges) == 0
-	for _, e := range t.inEdges {
-		if t.d.Period > 0 && e.initial == 0 {
-			return fmt.Errorf("core: task %s is data-activated but has a period; only root nodes carry periods (feedback into a periodic root needs delay tokens)", t.d.Name)
-		}
-	}
 	t.effDeadline = t.d.Deadline
 	if t.effDeadline == 0 {
 		switch {
@@ -807,19 +851,11 @@ func (a *App) deriveTaskLocked(t *task) error {
 			t.effDeadline = t.d.Period // implicit
 		case len(t.inEdges) > 0:
 			t.effDeadline = a.graphDeadlineFor(t) // inherit from graph roots
-		case a.cfg.Mapping == MappingOffline && a.offTable != nil:
-			// Table-driven tasks fall back to the table cycle: the
-			// off-line synthesiser already proved their placements meet
-			// the real deadlines.
-			t.effDeadline = a.offTable.Cycle
 		default:
-			return fmt.Errorf("core: aperiodic task %s needs an explicit deadline", t.d.Name)
-		}
-	}
-	if a.cfg.Mapping == MappingPartitioned {
-		if t.d.VirtCore < 0 || t.d.VirtCore >= a.cfg.Workers {
-			return fmt.Errorf("core: task %s: VirtCore %d out of [0,%d) for partitioned mapping",
-				t.d.Name, t.d.VirtCore, a.cfg.Workers)
+			// checkTask leaves only a table-driven task here: it falls back
+			// to the table cycle, since the off-line synthesiser already
+			// proved its placements meet the real deadlines.
+			t.effDeadline = a.offTable.Cycle
 		}
 	}
 	t.staticPrio = a.prioKeyOf(t)
@@ -842,7 +878,6 @@ func (a *App) deriveTaskLocked(t *task) error {
 		sh.rel.disarm(t)
 		t.shard.Store(nsi)
 	}
-	return nil
 }
 
 // homeShardOf routes a task to its home release shard: its virtual core
@@ -892,54 +927,13 @@ func (a *App) graphDeadlineFor(t *task) time.Duration {
 	return best
 }
 
-// Colours of the depth-first cycle searches over zero-delay edges.
+// Colours of the depth-first cycle search over zero-delay edges
+// (txGraph.cycle).
 const (
 	white = iota
 	grey
 	black
 )
-
-// checkAcyclic rejects a cycle over zero-delay edges. Without such an edge
-// no cycle is possible, and the search allocates nothing.
-func (a *App) checkAcyclic() error {
-	zeroDelay := false
-	for i := 0; i < a.nedges && !zeroDelay; i++ {
-		zeroDelay = !a.edges[i].dead && a.edges[i].initial == 0
-	}
-	if !zeroDelay {
-		return nil
-	}
-	color := make([]uint8, a.ntasks)
-	var visit func(i int) error
-	visit = func(i int) error {
-		color[i] = grey
-		for _, e := range a.tasks[i].outEdges {
-			if e.initial > 0 {
-				// Delay tokens break the cycle: the edge does not
-				// constrain the first e.initial activations.
-				continue
-			}
-			switch color[e.dst] {
-			case grey:
-				return fmt.Errorf("core: channel graph has a cycle through task %s", a.tasks[e.dst].d.Name)
-			case white:
-				if err := visit(int(e.dst)); err != nil {
-					return err
-				}
-			}
-		}
-		color[i] = black
-		return nil
-	}
-	for i := 0; i < a.ntasks; i++ {
-		if color[i] == white {
-			if err := visit(i); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
 
 // schedGCD derives the scheduler thread period: the GCD of all declared
 // periods (Section 3.3). Non-zero release offsets join the GCD so that

@@ -414,6 +414,42 @@ func TestOfflineDispatchRecordsTaskErrors(t *testing.T) {
 	}
 }
 
+// TestOfflineCleanupReturns: an offline job counts once in jobsLive, so
+// Cleanup sees the App drain and returns. Counting a job twice made it poll
+// forever.
+func TestOfflineCleanupReturns(t *testing.T) {
+	r := newRig(t, Config{Workers: 1, Mapping: MappingOffline}, nil)
+	a, _ := r.app.TaskDecl(TData{Name: "a", Period: ms(10)})
+	r.app.VersionDecl(a, spin(ms(1)), nil, VSelect{})
+	tbl := &OfflineTable{
+		Cycle:     ms(10),
+		PerWorker: [][]TableEntry{{{Offset: 0, Task: a, Version: 0}}},
+	}
+	if err := r.app.SetOfflineTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	returned := false
+	r.env.Spawn("main", rt.UnpinnedCore, func(c rt.Ctx) {
+		if err := r.app.Start(c); err != nil {
+			t.Errorf("Start: %v", err)
+			return
+		}
+		c.SleepUntil(ms(35))
+		r.app.Stop(c)
+		r.app.Cleanup(c)
+		returned = true
+	})
+	if err := r.eng.Run(sim.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if !returned {
+		t.Fatalf("Cleanup still waiting at 1s: jobsLive = %d", r.app.jobsLive.Load())
+	}
+	if st := r.app.Recorder().Task("a"); st == nil || st.Jobs != 4 {
+		t.Errorf("a = %+v, want 4 jobs (offsets 0, 10, 20, 30 ms)", st)
+	}
+}
+
 func TestOfflineTableValidation(t *testing.T) {
 	r := newRig(t, Config{Workers: 1, Mapping: MappingOffline}, nil)
 	a, _ := r.app.TaskDecl(TData{Name: "a", Period: ms(10)})

@@ -114,7 +114,6 @@ func (a *App) runOfflineEntry(c rt.Ctx, f *fiber, e *TableEntry, release time.Du
 	j.t = t
 	j.name = t.d.Name
 	t.live.Add(1)
-	a.jobsLive.Add(1)
 	j.seq = a.jobSeq.Add(1)
 	j.taskSeq = t.jobSeq
 	j.release = release

@@ -354,16 +354,7 @@ func (tx *Reconfig) AddVersion(t TID, fn TaskFunc, args any, props VSelect) (VID
 	if !tx.isStagedTask(t) {
 		return -1, fmt.Errorf("core: AddVersion targets a task not added by this transaction")
 	}
-	tk := &tx.a.tasks[t]
-	if fn == nil {
-		return -1, fmt.Errorf("core: task %s: nil version function", tk.d.Name)
-	}
-	if len(tk.versions) == cap(tk.versions) {
-		return -1, fmt.Errorf("%w: MaxVersionsPerTask=%d", ErrTooMany, cap(tk.versions))
-	}
-	id := VID(len(tk.versions))
-	tk.versions = append(tk.versions, version{fn: fn, args: args, props: props, accel: NoAccel})
-	return id, nil
+	return tx.a.tasks[t].addVersion(fn, args, props)
 }
 
 // UseAccel stages an accelerator binding for a staged task's version.
@@ -372,30 +363,13 @@ func (tx *Reconfig) UseAccel(t TID, v VID, h HID) error {
 	if !tx.isStagedTask(t) {
 		return fmt.Errorf("core: UseAccel targets a task not added by this transaction")
 	}
-	tk := &tx.a.tasks[t]
-	if int(v) < 0 || int(v) >= len(tk.versions) {
-		return fmt.Errorf("core: task %s has no version %d", tk.d.Name, v)
-	}
-	if int(h) < 0 || int(h) >= tx.a.naccels {
-		return fmt.Errorf("core: no accelerator %d", h)
-	}
-	// Normalised to the pool head, matching HwAccelUse.
-	tk.versions[v].accel = tx.a.poolHead(h)
-	return nil
+	return tx.a.bindAccel(&tx.a.tasks[t], v, h)
 }
 
 // AddTopic stages a new pub-sub topic; it becomes addressable at commit.
 func (tx *Reconfig) AddTopic(name string, opts TopicOpts) (CID, error) {
-	if name == "" {
-		return -1, fmt.Errorf("core: topic needs a name")
-	}
-	if opts.Capacity < 1 {
-		return -1, fmt.Errorf("core: topic %s: capacity must be >= 1, got %d", name, opts.Capacity)
-	}
-	switch opts.Policy {
-	case Reject, DropOldest, Latest:
-	default:
-		return -1, fmt.Errorf("core: topic %s: unknown overflow policy %d", name, int(opts.Policy))
+	if err := checkTopic(name, opts); err != nil {
+		return -1, err
 	}
 	return tx.stageTopic(name, opts)
 }
@@ -403,10 +377,11 @@ func (tx *Reconfig) AddTopic(name string, opts TopicOpts) (CID, error) {
 // AddChannel stages a new FIFO channel (capacity 0 declares a pure
 // precedence channel), the Table-1 degenerate topic.
 func (tx *Reconfig) AddChannel(name string, capacity int) (CID, error) {
-	if capacity < 0 {
-		return -1, fmt.Errorf("core: channel %s: negative capacity", name)
+	opts, err := channelOpts(name, capacity)
+	if err != nil {
+		return -1, err
 	}
-	return tx.stageTopic(name, TopicOpts{Capacity: capacity, Policy: Reject})
+	return tx.stageTopic(name, opts)
 }
 
 func (tx *Reconfig) stageTopic(name string, opts TopicOpts) (CID, error) {
@@ -534,15 +509,8 @@ func (tx *Reconfig) Connect(src, dst TID, c CID) error {
 // (the SDF feedback construction), seeded at commit time.
 func (tx *Reconfig) ConnectDelayed(src, dst TID, c CID, delay int) error {
 	a := tx.a
-	if delay < 0 {
-		return fmt.Errorf("core: negative delay token count %d", delay)
-	}
-	if delay >= a.cfg.GraphInstanceCap {
-		return fmt.Errorf("%w: %d delay tokens with GraphInstanceCap=%d",
-			ErrTooMany, delay, a.cfg.GraphInstanceCap)
-	}
-	if src == dst {
-		return fmt.Errorf("core: channel self-loop on task %d", src)
+	if err := a.checkEdge(src, dst, delay); err != nil {
+		return err
 	}
 	a.mu.Lock(tx.c)
 	defer a.mu.Unlock(tx.c)
@@ -588,8 +556,8 @@ func (tx *Reconfig) PubOn(t TID, c CID) error {
 	if err != nil {
 		return err
 	}
-	if tp.isPub(t) {
-		return fmt.Errorf("core: task %d already publishes on topic %s", t, tp.name)
+	if err := tp.checkPub(t); err != nil {
+		return err
 	}
 	for _, ep := range tx.pubs {
 		if ep.t == t && ep.c == c {
@@ -614,11 +582,8 @@ func (tx *Reconfig) SubOn(t TID, c CID) error {
 	if err != nil {
 		return err
 	}
-	if tp.opts.Capacity == 0 {
-		return fmt.Errorf("core: topic %s has no buffer (capacity 0); nothing to subscribe to", tp.name)
-	}
-	if tp.subFor(t) != nil {
-		return fmt.Errorf("core: task %d already subscribes to topic %s", t, tp.name)
+	if err := tp.checkSub(t); err != nil {
+		return err
 	}
 	for _, ep := range tx.subs {
 		if ep.t == t && ep.c == c {
@@ -704,15 +669,15 @@ func (tx *Reconfig) rollback() {
 }
 
 // validate checks the whole batch against the target configuration —
-// structural rules (the same ones Start's resolve enforces), removal
-// coverage and static capacity — and, in the same pass over the task table
-// under App.mu, writes the rows admit tests. The target configuration is
-// read in place: live tasks by TID with their retunes overlaid, then the
-// staged ones in staging order, which is also the row order. The rows go
-// straight into one set sized from the slot table, so a transaction
-// allocates the same number of objects whatever the task count. The edge
-// relation is built only when the target has edges, and the priority keys
-// and cores only when the admission test reads them.
+// structural rules (checkTask and checkCycles, which Start runs too),
+// removal coverage and static capacity — and, in the same pass over the
+// task table under App.mu, writes the rows admit tests. The target
+// configuration is read in place: live tasks by TID with their retunes
+// overlaid, then the staged ones in staging order, which is also the row
+// order. The rows go straight into one set sized from the slot table, so a
+// transaction allocates the same number of objects whatever the task count.
+// The edge relation is built only when the target has edges, and the
+// priority keys and cores only when the admission test reads them.
 func (tx *Reconfig) validate() (*taskset.Set, analysis.Admission, error) {
 	a := tx.a
 	a.mu.Lock(tx.c)
@@ -768,26 +733,8 @@ func (tx *Reconfig) validate() (*taskset.Set, analysis.Admission, error) {
 		adm.Cores = make([]int, 0, rows)
 	}
 	for t, d := range tx.targetTasks() {
-		if len(t.versions) == 0 {
-			return nil, adm, fmt.Errorf("core: task %s has no version", d.Name)
-		}
-		hasIn, zeroIn := g.inputs(t.id)
-		if d.Period > 0 && zeroIn {
-			return nil, adm, fmt.Errorf("core: task %s is data-activated but has a period; only root nodes carry periods (feedback into a periodic root needs delay tokens)", d.Name)
-		}
-		// Every rule deriveTaskLocked re-checks at commit must be caught
-		// here, or an admitted transaction would panic mid-commit. A
-		// sporadic task without a minimum inter-arrival time has no implicit
-		// deadline to fall back on, exactly like an aperiodic one.
-		if d.Period == 0 && !hasIn && d.Deadline == 0 {
-			if d.Sporadic {
-				return nil, adm, fmt.Errorf("core: sporadic task %s needs a minimum inter-arrival time (Period) or an explicit deadline", d.Name)
-			}
-			return nil, adm, fmt.Errorf("core: aperiodic task %s needs an explicit deadline (did a removal orphan it?)", d.Name)
-		}
-		if adm.Partitioned && (d.VirtCore < 0 || d.VirtCore >= a.cfg.Workers) {
-			return nil, adm, fmt.Errorf("core: task %s: VirtCore %d out of [0,%d) for partitioned mapping",
-				d.Name, d.VirtCore, a.cfg.Workers)
+		if err := tx.checkTask(g, t, d); err != nil {
+			return nil, adm, err
 		}
 
 		// The admission row. Tasks without WCET information contribute no
@@ -847,14 +794,8 @@ func (tx *Reconfig) validate() (*taskset.Set, analysis.Admission, error) {
 		}
 	}
 
-	// Cycle check over zero-delay edges, depth first from every task in
-	// row order.
-	if g != nil {
-		for t := range tx.targetTasks() {
-			if c := g.cycle(t.id); c >= 0 {
-				return nil, adm, fmt.Errorf("core: channel graph has a cycle through task %s", a.tasks[c].d.Name)
-			}
-		}
+	if err := tx.checkCycles(g); err != nil {
+		return nil, adm, err
 	}
 
 	// Removal coverage: a removed topic's registered endpoints must all be
@@ -895,9 +836,58 @@ func (tx *Reconfig) validate() (*taskset.Set, analysis.Admission, error) {
 	return set, adm, nil
 }
 
+// checkTask applies the per-task structural rules of the task-graph model
+// to task t with its target timing d: at least one version, a period only
+// on a root, a deadline to fall back on, and a virtual core in range under
+// the partitioned mapping. It is the one rule set of the model: validate
+// checks each row of a transaction with it, and Start (resolve) each
+// declared task, so a commit or a Start that passed it derives every task
+// without error. It takes no lock; a caller in a running App holds a.mu.
+func (tx *Reconfig) checkTask(g *txGraph, t *task, d TData) error {
+	a := tx.a
+	if len(t.versions) == 0 {
+		return fmt.Errorf("core: task %s has no version", d.Name)
+	}
+	hasIn, zeroIn := g.inputs(t.id)
+	if d.Period > 0 && zeroIn {
+		return fmt.Errorf("core: task %s is data-activated but has a period; only root nodes carry periods (feedback into a periodic root needs delay tokens)", d.Name)
+	}
+	// A root with neither a period nor a deadline has no deadline to fall
+	// back on — a sporadic task without a minimum inter-arrival time
+	// exactly like an aperiodic one — unless an off-line table drives it
+	// (deriveTaskLocked then uses the table cycle).
+	if d.Period == 0 && !hasIn && d.Deadline == 0 &&
+		(a.cfg.Mapping != MappingOffline || a.offTable == nil) {
+		if d.Sporadic {
+			return fmt.Errorf("core: sporadic task %s needs a minimum inter-arrival time (Period) or an explicit deadline", d.Name)
+		}
+		return fmt.Errorf("core: aperiodic task %s needs an explicit deadline (did a removal orphan it?)", d.Name)
+	}
+	if a.cfg.Mapping == MappingPartitioned && (d.VirtCore < 0 || d.VirtCore >= a.cfg.Workers) {
+		return fmt.Errorf("core: task %s: VirtCore %d out of [0,%d) for partitioned mapping",
+			d.Name, d.VirtCore, a.cfg.Workers)
+	}
+	return nil
+}
+
+// checkCycles rejects a cycle over zero-delay edges in the target: a depth
+// first search from every task in row order. Without edges (g == nil) there
+// is nothing to search.
+func (tx *Reconfig) checkCycles(g *txGraph) error {
+	if g == nil {
+		return nil
+	}
+	for t := range tx.targetTasks() {
+		if c := g.cycle(t.id); c >= 0 {
+			return fmt.Errorf("core: channel graph has a cycle through task %s", tx.a.tasks[c].d.Name)
+		}
+	}
+	return nil
+}
+
 // inTarget reports whether task id belongs to the target configuration:
 // alive and not removed by the transaction, or staged by it. Caller holds
-// a.mu.
+// a.mu, or the App is quiescent (Start).
 func (tx *Reconfig) inTarget(id TID) bool {
 	switch tx.a.tasks[id].state {
 	case taskRunning, taskAdmitted:
@@ -919,7 +909,7 @@ func (tx *Reconfig) targetData(id TID) TData {
 
 // targetTasks yields the tasks of the target configuration with their
 // target timing, in row order: live tasks by TID, then the staged ones in
-// staging order. Caller holds a.mu.
+// staging order. Caller holds a.mu, or the App is quiescent (Start).
 func (tx *Reconfig) targetTasks() iter.Seq2[*task, TData] {
 	return func(yield func(*task, TData) bool) {
 		a := tx.a
@@ -953,7 +943,7 @@ type txGraph struct {
 
 // graph builds the target's edge relation — the live edges the transaction
 // keeps, in slot order, then the staged ones — or returns nil when the
-// target has no edges. Caller holds a.mu.
+// target has no edges. Caller holds a.mu, or the App is quiescent (Start).
 func (tx *Reconfig) graph() *txGraph {
 	a := tx.a
 	var g *txGraph
@@ -1126,10 +1116,8 @@ func (tx *Reconfig) commit() {
 	}
 }
 
-// commitTables is the locked half of commit. The App lock is released by
-// defer so that an invariant-violation panic (a validated transaction
-// failing derivation — a bug, not a user error) crashes loudly instead of
-// deadlocking the deferred rollback on the still-held lock.
+// commitTables is the locked half of commit. It cannot fail: validate ran
+// the rules derivation relies on over the same target.
 func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 	a := tx.a
 	c := tx.c
@@ -1173,15 +1161,7 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 	}
 	// Staged edges materialise, delay tokens seeded at the commit instant.
 	for _, se := range tx.stagedEdges {
-		e := a.allocEdgeSlot()
-		e.src, e.dst, e.ch, e.initial = se.src, se.dst, se.ch, se.delay
-		if cap(e.stamps) < a.cfg.GraphInstanceCap {
-			e.stamps = make([]time.Duration, a.cfg.GraphInstanceCap)
-		} else {
-			e.stamps = e.stamps[:a.cfg.GraphInstanceCap]
-		}
-		e.head, e.count = 0, 0
-		e.dead = false
+		e := a.newEdge(se.src, se.dst, se.ch, se.delay)
 		for k := 0; k < se.delay; k++ {
 			e.pushStamp(now)
 		}
@@ -1215,13 +1195,8 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 		} else {
 			t.state = taskAdmitted
 		}
-		t.nextRelease = now + t.d.ReleaseOffset
-		t.lastActivation = 0
-		t.everActivated = false
-		t.jobSeq = 0
+		t.resetRun(now)
 		sh.mu.Unlock()
-		t.live.Store(0)
-		t.draining.Store(false)
 		a.rec.Declare(t.d.Name)
 		rec.Admitted = append(rec.Admitted, t.d.Name)
 	}
@@ -1231,8 +1206,7 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 		a.topics[id].dead = false
 	}
 	for _, ep := range tx.pubs {
-		tp := &a.topics[ep.c]
-		tp.pubs = append(tp.pubs, ep.t)
+		a.addPubLocked(ep.t, ep.c)
 	}
 	for _, ep := range tx.subs {
 		tp := &a.topics[ep.c]
@@ -1245,20 +1219,15 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 		if tp.staging != nil {
 			cursor += uint64(tp.staging.Len())
 		}
-		tp.subs = append(tp.subs, subscription{task: ep.t, cursor: cursor})
+		a.addSubLocked(ep.t, ep.c, cursor)
 	}
 	a.pendingDeadTopics = append(a.pendingDeadTopics, tx.removeTopicOrder...)
-	// Derived scheduling state for the new epoch.
-	if err := a.rebuildGraphLocked(); err != nil {
-		panic(fmt.Sprintf("core: validated transaction failed graph rebuild: %v", err))
-	}
+	// Derived scheduling state for the new epoch; validate checked every
+	// task of it.
+	a.rebuildGraphLocked()
 	for i := 0; i < a.ntasks; i++ {
-		t := &a.tasks[i]
-		if t.state != taskRunning && t.state != taskAdmitted {
-			continue
-		}
-		if err := a.deriveTaskLocked(t); err != nil {
-			panic(fmt.Sprintf("core: validated transaction failed derivation: %v", err))
+		if t := &a.tasks[i]; t.state == taskRunning || t.state == taskAdmitted {
+			a.deriveTaskLocked(t)
 		}
 	}
 	a.refreshTopicsAfterCommitLocked(tx)
@@ -1324,17 +1293,4 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 		time.Duration(a.ntasks+a.nedges+a.ntopics)*costs.StaticScanPerItem)
 	rec.Pause = c.Now() - t0
 	return rec
-}
-
-// allocEdgeSlot reserves an edge slot, recycling severed ones first. Caller
-// holds the lock; capacity was validated.
-func (a *App) allocEdgeSlot() *edge {
-	if n := len(a.freeEdgeSlots); n > 0 {
-		idx := a.freeEdgeSlots[n-1]
-		a.freeEdgeSlots = a.freeEdgeSlots[:n-1]
-		return &a.edges[idx]
-	}
-	e := &a.edges[a.nedges]
-	a.nedges++
-	return e
 }

@@ -523,3 +523,125 @@ func reconfigureAllocs(t *testing.T, n int) (objs, bytes uint64) {
 	env.Wait()
 	return objs, bytes
 }
+
+// TestStartAndReconfigureShareRules pins one rule set for the task-graph
+// model: a set with one structural defect, declared through the Table-1
+// calls, makes Start fail with the very message a Reconfigure staging the
+// same set gets.
+func TestStartAndReconfigureShareRules(t *testing.T) {
+	type edgeDecl struct{ src, dst, delay int }
+	cases := []struct {
+		name      string
+		cfg       Config
+		tasks     []TData
+		noVersion int // index of a task declared without a version, or -1
+		edges     []edgeDecl
+		want      string
+	}{
+		{"no version", Config{}, []TData{{Name: "a", Period: ms(10)}}, 0, nil,
+			"task a has no version"},
+		{"periodic task with a zero-delay in-edge", Config{},
+			[]TData{{Name: "a", Period: ms(10)}, {Name: "b", Period: ms(10)}}, -1,
+			[]edgeDecl{{0, 1, 0}}, "task b is data-activated but has a period"},
+		{"aperiodic task without deadline", Config{}, []TData{{Name: "aper"}}, -1, nil,
+			"aperiodic task aper needs an explicit deadline"},
+		{"sporadic task without period or deadline", Config{},
+			[]TData{{Name: "spore", Sporadic: true}}, -1, nil,
+			"sporadic task spore needs a minimum inter-arrival time"},
+		{"partitioned VirtCore out of range", Config{Workers: 2, Mapping: MappingPartitioned},
+			[]TData{{Name: "far", Period: ms(10), VirtCore: 7}}, -1, nil,
+			"task far: VirtCore 7 out of [0,2)"},
+		{"zero-delay cycle", Config{},
+			[]TData{{Name: "a", Period: ms(10)}, {Name: "b"}, {Name: "c"}}, -1,
+			[]edgeDecl{{0, 1, 0}, {1, 2, 0}, {2, 1, 0}}, "cycle through task b"},
+	}
+	body := spin(us(100))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			if cfg.Workers == 0 {
+				cfg.Workers = 1
+			}
+
+			// Table-1 declarations, then Start.
+			r := newRig(t, cfg, nil)
+			app := r.app
+			tids := make([]TID, len(tc.tasks))
+			for i, d := range tc.tasks {
+				id, err := app.TaskDecl(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tids[i] = id
+				if i != tc.noVersion {
+					if _, err := app.VersionDecl(id, body, nil, VSelect{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i, e := range tc.edges {
+				c, err := app.ChannelDecl(fmt.Sprintf("c%d", i), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := app.ChannelConnectDelayed(tids[e.src], tids[e.dst], c, e.delay); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var startErr error
+			r.env.Spawn("main", rt.UnpinnedCore, func(c rt.Ctx) {
+				if startErr = app.Start(c); startErr == nil {
+					app.Stop(c)
+					app.Cleanup(c)
+				}
+			})
+			if err := r.eng.RunUntilIdle(); err != nil {
+				t.Fatal(err)
+			}
+
+			// The same set staged on one transaction of a fresh App.
+			r = newRig(t, cfg, nil)
+			app = r.app
+			var txErr error
+			r.env.Spawn("main", rt.UnpinnedCore, func(c rt.Ctx) {
+				txErr = app.Reconfigure(c, func(tx *Reconfig) error {
+					for i, d := range tc.tasks {
+						id, err := tx.AddTask(d)
+						if err != nil {
+							return err
+						}
+						tids[i] = id
+						if i != tc.noVersion {
+							if _, err := tx.AddVersion(id, body, nil, VSelect{}); err != nil {
+								return err
+							}
+						}
+					}
+					for i, e := range tc.edges {
+						c, err := tx.AddChannel(fmt.Sprintf("c%d", i), 1)
+						if err != nil {
+							return err
+						}
+						if err := tx.ConnectDelayed(tids[e.src], tids[e.dst], c, e.delay); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+			})
+			if err := r.eng.RunUntilIdle(); err != nil {
+				t.Fatal(err)
+			}
+
+			if startErr == nil || txErr == nil {
+				t.Fatalf("Start: %v; Reconfigure: %v; want both to fail", startErr, txErr)
+			}
+			if !strings.Contains(txErr.Error(), tc.want) {
+				t.Errorf("Reconfigure: %v, want it to say %q", txErr, tc.want)
+			}
+			if startErr.Error() != txErr.Error() {
+				t.Errorf("Start and Reconfigure disagree:\n Start:       %v\n Reconfigure: %v", startErr, txErr)
+			}
+		})
+	}
+}

@@ -76,9 +76,7 @@ func (a *App) Start(c rt.Ctx) error {
 		}
 		t.state = taskRunning
 		a.rec.Declare(t.d.Name)
-		t.nextRelease = a.startTime + t.d.ReleaseOffset
-		t.lastActivation = 0
-		t.everActivated = false
+		t.resetRun(a.startTime)
 		if t.periodicRoot() {
 			a.shards[t.shard.Load()].rel.arm(t)
 		}

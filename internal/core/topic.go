@@ -311,18 +311,27 @@ func (a *App) TopicDecl(name string, opts TopicOpts) (CID, error) {
 	if a.Started() {
 		return -1, ErrStarted
 	}
+	if err := checkTopic(name, opts); err != nil {
+		return -1, err
+	}
+	return a.declTopic(name, opts)
+}
+
+// checkTopic checks a topic declaration: the shared check of TopicDecl and
+// Reconfig.AddTopic.
+func checkTopic(name string, opts TopicOpts) error {
 	if name == "" {
-		return -1, fmt.Errorf("core: topic needs a name")
+		return fmt.Errorf("core: topic needs a name")
 	}
 	if opts.Capacity < 1 {
-		return -1, fmt.Errorf("core: topic %s: capacity must be >= 1, got %d", name, opts.Capacity)
+		return fmt.Errorf("core: topic %s: capacity must be >= 1, got %d", name, opts.Capacity)
 	}
 	switch opts.Policy {
 	case Reject, DropOldest, Latest:
 	default:
-		return -1, fmt.Errorf("core: topic %s: unknown overflow policy %d", name, int(opts.Policy))
+		return fmt.Errorf("core: topic %s: unknown overflow policy %d", name, int(opts.Policy))
 	}
-	return a.declTopic(name, opts)
+	return nil
 }
 
 // declTopic is the shared declaration path of ChannelDecl and TopicDecl,
@@ -413,13 +422,31 @@ func (a *App) TopicPub(t TID, c CID) error {
 	if err != nil {
 		return err
 	}
+	if err := tp.checkPub(t); err != nil {
+		return err
+	}
+	a.addPubLocked(t, c)
+	tp.publishView()
+	return nil
+}
+
+// checkPub checks that t may register as a publisher on tp: the shared
+// check of TopicPub and Reconfig.PubOn.
+func (tp *topic) checkPub(t TID) error {
 	if tp.isPub(t) {
 		return fmt.Errorf("core: task %d already publishes on topic %s", t, tp.name)
 	}
+	return nil
+}
+
+// addPubLocked registers t as a publisher on topic c, on both endpoint
+// lists: the shared write of TopicPub and a committed Reconfig.PubOn. The
+// caller publishes the topic's view. Caller holds the lock or runs at
+// declaration time.
+func (a *App) addPubLocked(t TID, c CID) {
+	tp := &a.topics[c]
 	tp.pubs = append(tp.pubs, t)
 	a.tasks[t].pubTopics = append(a.tasks[t].pubTopics, c)
-	tp.publishView()
-	return nil
 }
 
 // TopicSub registers task t as a subscriber on topic c — its inbound Port.
@@ -437,27 +464,39 @@ func (a *App) TopicSub(t TID, c CID) error {
 	if err != nil {
 		return err
 	}
+	if err := tp.checkSub(t); err != nil {
+		return err
+	}
+	a.addSubLocked(t, c, 0)
+	tp.publishView()
+	return nil
+}
+
+// checkSub checks that t may subscribe to tp: the shared check of TopicSub
+// and Reconfig.SubOn.
+func (tp *topic) checkSub(t TID) error {
 	if tp.opts.Capacity == 0 {
 		return fmt.Errorf("core: topic %s has no buffer (capacity 0); nothing to subscribe to", tp.name)
 	}
 	if tp.subFor(t) != nil {
 		return fmt.Errorf("core: task %d already subscribes to topic %s", t, tp.name)
 	}
-	tp.subs = append(tp.subs, subscription{task: t})
-	a.addSubTopicLocked(&a.tasks[t], c)
-	tp.publishView()
 	return nil
 }
 
-// addSubTopicLocked inserts topic c into a task's priority-ordered
-// subscription list (stable: declaration order breaks ties). Caller holds
-// the lock or runs at declaration time.
-func (a *App) addSubTopicLocked(t *task, c CID) {
-	st := append(t.subTopics, c)
+// addSubLocked registers t as a subscriber on topic c reading from cursor,
+// on both endpoint lists; the task's list stays priority-ordered (stable:
+// declaration order breaks ties). The shared write of TopicSub and a
+// committed Reconfig.SubOn; the caller publishes the topic's view. Caller
+// holds the lock or runs at declaration time.
+func (a *App) addSubLocked(t TID, c CID, cursor uint64) {
+	tp := &a.topics[c]
+	tp.subs = append(tp.subs, subscription{task: t, cursor: cursor})
+	st := append(a.tasks[t].subTopics, c)
 	for y := len(st) - 1; y > 0 && a.topics[st[y]].opts.Priority < a.topics[st[y-1]].opts.Priority; y-- {
 		st[y], st[y-1] = st[y-1], st[y]
 	}
-	t.subTopics = st
+	a.tasks[t].subTopics = st
 }
 
 // TopicID returns the CID of the named topic or channel, or -1.
@@ -545,8 +584,8 @@ func (a *App) refreshTopicsLocked() {
 
 // refreshTopicsAfterCommitLocked is the reconfiguration-commit variant of
 // refreshTopicsLocked: it refreshes exactly the topics the transaction
-// touched (new topics, topics with staged endpoints) and the endpoint lists
-// of the tasks it registered, so the commit pause is O(changes) rather than
+// touched (new topics, topics with staged endpoints; the commit registered
+// the endpoints already), so the commit pause is O(changes) rather than
 // O(topics + tasks). Existing staging rings are never discarded or resized:
 // they may hold staged wall-clock publishes whose per-publisher FIFO order
 // must survive the epoch. Caller holds the lock.
@@ -566,11 +605,9 @@ func (a *App) refreshTopicsAfterCommitLocked(tx *Reconfig) {
 		refresh(id)
 	}
 	for _, ep := range tx.pubs {
-		a.tasks[ep.t].pubTopics = append(a.tasks[ep.t].pubTopics, ep.c)
 		refresh(ep.c)
 	}
 	for _, ep := range tx.subs {
-		a.addSubTopicLocked(&a.tasks[ep.t], ep.c)
 		refresh(ep.c)
 	}
 }

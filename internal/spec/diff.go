@@ -279,15 +279,7 @@ func (s *Spec) stageTarget(tx *core.Reconfig, add, remove, retune []string,
 		if ts == nil {
 			return fmt.Errorf("spec: plan adds task %q not in the target spec", name)
 		}
-		tid, err := tx.AddTask(core.TData{
-			Name:          ts.Name,
-			Period:        ts.Period.Std(),
-			Deadline:      ts.Deadline.Std(),
-			ReleaseOffset: ts.Offset.Std(),
-			VirtCore:      ts.Core,
-			Priority:      ts.Priority,
-			Sporadic:      ts.Sporadic,
-		})
+		tid, err := tx.AddTask(ts.data())
 		if err != nil {
 			return fmt.Errorf("spec: add task %q: %w", name, err)
 		}
@@ -365,16 +357,7 @@ func (s *Spec) stageTarget(tx *core.Reconfig, add, remove, retune []string,
 			if fn == nil {
 				fn = synthBody(ins[name], outs[name], tins[name], touts[name], v)
 			}
-			props := core.VSelect{
-				WCET:             v.WCET.Std(),
-				EnergyBudget:     v.Energy,
-				GetBatteryStatus: v.GetBattery,
-				MinBattery:       v.MinBattery,
-				Quality:          v.Quality,
-				Modes:            v.Modes,
-				Mask:             v.Mask,
-			}
-			vid, err := tx.AddVersion(tid, fn, v.Args, props)
+			vid, err := tx.AddVersion(tid, fn, v.Args, v.props())
 			if err != nil {
 				return fmt.Errorf("spec: task %q version %d: %w", name, vi, err)
 			}
@@ -395,15 +378,7 @@ func (s *Spec) stageTarget(tx *core.Reconfig, add, remove, retune []string,
 		if tid < 0 {
 			return fmt.Errorf("spec: retune: no live task %q", name)
 		}
-		if err := tx.Retune(tid, core.TData{
-			Name:          ts.Name,
-			Period:        ts.Period.Std(),
-			Deadline:      ts.Deadline.Std(),
-			ReleaseOffset: ts.Offset.Std(),
-			VirtCore:      ts.Core,
-			Priority:      ts.Priority,
-			Sporadic:      ts.Sporadic,
-		}); err != nil {
+		if err := tx.Retune(tid, ts.data()); err != nil {
 			return fmt.Errorf("spec: retune task %q: %w", name, err)
 		}
 	}

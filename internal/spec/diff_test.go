@@ -262,3 +262,55 @@ func TestApplyRejectsRunningApp(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestModeSwitchReAddKeepsAccelCS: a task a mode switch re-adds is admitted
+// with its declared accel_cs, as at Build. Under RM on one worker, "hi"
+// (10 ms period, 2 ms WCET) is blocked by "lo"'s accelerator section: the
+// declared 1 ms fits, while lo's whole 9 ms WCET — the fallback for an
+// accelerator version without accel_cs — does not.
+func TestModeSwitchReAddKeepsAccelCS(t *testing.T) {
+	mk := func(accelCS time.Duration) *Spec {
+		return &Spec{
+			Name:   "blocking",
+			Accels: []AccelSpec{{Name: "dsp"}},
+			Tasks: []TaskSpec{
+				{Name: "hi", Period: Duration(10 * time.Millisecond),
+					Versions: []VersionSpec{{WCET: Duration(2 * time.Millisecond),
+						AccelCS: Duration(time.Millisecond), Accel: "dsp"}}},
+				{Name: "lo", Period: Duration(100 * time.Millisecond),
+					Versions: []VersionSpec{{WCET: Duration(9 * time.Millisecond),
+						AccelCS: Duration(accelCS), Accel: "dsp"}}},
+			},
+			Modes: []ModeSpec{
+				{Name: "full"},
+				{Name: "lite", Tasks: []string{"hi"}},
+			},
+		}
+	}
+	for _, tc := range []struct {
+		accelCS time.Duration
+		admit   bool
+	}{{time.Millisecond, true}, {0, false}} {
+		eng, env := simEnvFor(t)
+		app, err := mk(tc.accelCS).Build(core.Config{Workers: 1, Priority: core.PriorityRM}, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Spawn("main", rt.UnpinnedCore, func(c rt.Ctx) {
+			if err := app.SwitchMode(c, "lite"); err != nil {
+				t.Errorf("switch to lite: %v", err)
+				return
+			}
+			err := app.SwitchMode(c, "full")
+			if tc.admit && err != nil {
+				t.Errorf("accel_cs %v: re-adding lo rejected: %v", tc.accelCS, err)
+			}
+			if !tc.admit && !errors.Is(err, core.ErrNotSchedulable) {
+				t.Errorf("accel_cs %v: re-adding lo = %v, want ErrNotSchedulable", tc.accelCS, err)
+			}
+		})
+		if err := eng.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -138,6 +138,21 @@ type TaskSpec struct {
 	Versions []VersionSpec `json:"versions"`
 }
 
+// data is the task's core declaration, the one TaskSpec-to-core.TData
+// conversion: Table-1 declaration and a transaction's AddTask and Retune
+// all use it.
+func (t *TaskSpec) data() core.TData {
+	return core.TData{
+		Name:          t.Name,
+		Period:        t.Period.Std(),
+		Deadline:      t.Deadline.Std(),
+		ReleaseOffset: t.Offset.Std(),
+		VirtCore:      t.Core,
+		Priority:      t.Priority,
+		Sporadic:      t.Sporadic,
+	}
+}
+
 // VersionSpec describes one implementation of a task: its extra-functional
 // properties (core.VSelect) plus the accelerator binding by name. The entry
 // point Fn is code and is not serialized; a nil Fn gets a synthesized body
@@ -175,6 +190,22 @@ type VersionSpec struct {
 	// GetBattery is the battery-status callback (SelectEnergy; not
 	// serialized — Build falls back to the App battery when nil).
 	GetBattery func() float64 `json:"-"`
+}
+
+// props is the version's core selection properties, the one
+// VersionSpec-to-core.VSelect conversion of VersionDecl and a transaction's
+// AddVersion.
+func (v *VersionSpec) props() core.VSelect {
+	return core.VSelect{
+		WCET:             v.WCET.Std(),
+		AccelCS:          v.AccelCS.Std(),
+		EnergyBudget:     v.Energy,
+		GetBatteryStatus: v.GetBattery,
+		MinBattery:       v.MinBattery,
+		Quality:          v.Quality,
+		Modes:            v.Modes,
+		Mask:             v.Mask,
+	}
 }
 
 // ChannelSpec describes one FIFO channel and its (optional) endpoints. A
@@ -513,7 +544,8 @@ func (s *Spec) Validate() error {
 }
 
 // checkAcyclic rejects cycles over zero-delay edges (edges carrying delay
-// tokens are legitimate feedback, as in core.App.checkAcyclic).
+// tokens are legitimate feedback, as in core's Reconfig.checkCycles, which
+// Start and every transaction run).
 func (s *Spec) checkAcyclic(tasks map[string]int) error {
 	succ := make([][]int, len(s.Tasks))
 	for i := range s.Channels {
@@ -786,15 +818,7 @@ func (s *Spec) apply(app *core.App) error {
 	}
 	for i := range s.Tasks {
 		t := &s.Tasks[i]
-		tid, err := app.TaskDecl(core.TData{
-			Name:          t.Name,
-			Period:        t.Period.Std(),
-			Deadline:      t.Deadline.Std(),
-			ReleaseOffset: t.Offset.Std(),
-			VirtCore:      t.Core,
-			Priority:      t.Priority,
-			Sporadic:      t.Sporadic,
-		})
+		tid, err := app.TaskDecl(t.data())
 		if err != nil {
 			return fmt.Errorf("spec: task %q: %w", t.Name, err)
 		}
@@ -804,17 +828,7 @@ func (s *Spec) apply(app *core.App) error {
 			if fn == nil {
 				fn = synthBody(ins[i], outs[i], tins[i], touts[i], v)
 			}
-			props := core.VSelect{
-				WCET:             v.WCET.Std(),
-				AccelCS:          v.AccelCS.Std(),
-				EnergyBudget:     v.Energy,
-				GetBatteryStatus: v.GetBattery,
-				MinBattery:       v.MinBattery,
-				Quality:          v.Quality,
-				Modes:            v.Modes,
-				Mask:             v.Mask,
-			}
-			vid, err := app.VersionDecl(tid, fn, v.Args, props)
+			vid, err := app.VersionDecl(tid, fn, v.Args, v.props())
 			if err != nil {
 				return fmt.Errorf("spec: task %q version %d: %w", t.Name, vi, err)
 			}
