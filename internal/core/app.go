@@ -122,8 +122,7 @@ type App struct {
 	stopping    atomic.Bool
 	terminating atomic.Bool
 	liveThreads atomic.Int64
-	workersLive atomic.Int64
-	schedLive   atomic.Int64
+	runLive     atomic.Int64 // threads still in the run: workers and the scheduler
 	schedTh     rt.Thread
 
 	// Live-reconfiguration state. Slot freelists recycle the fixed tables
@@ -287,7 +286,7 @@ func (a *App) Started() bool {
 	if !a.started.Load() {
 		return false
 	}
-	return !a.stopping.Load() || a.workersLive.Load() > 0 || a.schedLive.Load() > 0
+	return !a.stopping.Load() || a.runLive.Load() > 0
 }
 
 // NumTasks returns the number of declared tasks.
@@ -795,16 +794,16 @@ func (a *App) resolve() error {
 		}
 	}
 	tx := &Reconfig{a: a}
-	g := tx.graph()
-	if err := tx.checkCycles(g); err != nil {
+	tx.g = tx.graph()
+	if err := tx.checkCycles(tx.g); err != nil {
 		return err
 	}
 	a.rebuildGraphLocked()
 	for t, d := range tx.targetTasks() {
-		if err := tx.checkTask(g, t, d); err != nil {
+		if err := tx.checkTask(tx.g, t, d); err != nil {
 			return err
 		}
-		a.deriveTaskLocked(t)
+		a.deriveTaskLocked(tx, t)
 	}
 	a.resolveTopics()
 	return nil
@@ -831,9 +830,9 @@ func (a *App) rebuildGraphLocked() {
 
 // deriveTaskLocked computes one task's derived scheduling state (root flag,
 // effective deadline, static priority, home shard). The adjacency lists
-// must be current and the task must have passed Reconfig.checkTask, so
-// derivation cannot fail.
-func (a *App) deriveTaskLocked(t *task) {
+// must be current, tx.g must hold the same edges, and the task must have
+// passed Reconfig.checkTask, so derivation cannot fail.
+func (a *App) deriveTaskLocked(tx *Reconfig, t *task) {
 	// Derived fields are shard-guarded (the release tick reads them under
 	// the home shard lock, without App.mu), so rewriting them for a new
 	// epoch takes that lock on top of App.mu (rank 2 -> 3). A home move
@@ -850,7 +849,11 @@ func (a *App) deriveTaskLocked(t *task) {
 		case t.d.Period > 0:
 			t.effDeadline = t.d.Period // implicit
 		case len(t.inEdges) > 0:
-			t.effDeadline = a.graphDeadlineFor(t) // inherit from graph roots
+			// Inherited from the graph roots, as admission tested it; 1 s
+			// when no root has a deadline.
+			if _, t.effDeadline = tx.g.rootTiming(tx, t.id); t.effDeadline == 0 {
+				t.effDeadline = time.Second
+			}
 		default:
 			// checkTask leaves only a table-driven task here: it falls back
 			// to the table cycle, since the off-line synthesiser already
@@ -891,40 +894,6 @@ func (a *App) homeShardOf(t *task) int {
 		return 0
 	}
 	return int(t.id) % len(a.shards)
-}
-
-// graphDeadlineFor walks back to the graph roots and returns the smallest
-// root relative deadline (conservative). A root is what deriveTaskLocked
-// calls one — periodic, sporadic or without in-edges — so the walk stops at
-// a periodic root even when a delayed feedback edge leads into it.
-func (a *App) graphDeadlineFor(t *task) time.Duration {
-	best := time.Duration(0)
-	seen := make(map[TID]bool)
-	var walk func(x *task)
-	walk = func(x *task) {
-		if seen[x.id] {
-			return
-		}
-		seen[x.id] = true
-		if x.d.Period > 0 || x.d.Sporadic || len(x.inEdges) == 0 {
-			d := x.d.Deadline
-			if d == 0 {
-				d = x.d.Period
-			}
-			if d > 0 && (best == 0 || d < best) {
-				best = d
-			}
-			return
-		}
-		for _, e := range x.inEdges {
-			walk(&a.tasks[e.src])
-		}
-	}
-	walk(t)
-	if best == 0 {
-		best = time.Second // degenerate: no rooted period found
-	}
-	return best
 }
 
 // Colours of the depth-first cycle search over zero-delay edges

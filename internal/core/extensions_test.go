@@ -210,3 +210,47 @@ func TestFeedbackRootDeadlineInherited(t *testing.T) {
 		t.Errorf("consumer missed %d of %d jobs; each runs 12ms against a 10ms inherited deadline", st.Misses, st.Jobs)
 	}
 }
+
+// TestTwoRootDeadlineAdmittedAsJudged: C is fed by A (period 10ms, implicit
+// deadline) and B (period 20ms, deadline 5ms). The runtime judges C's jobs
+// against the smallest root deadline, 5ms, and admission must test C's row
+// against the same deadline, with the smallest root period.
+func TestTwoRootDeadlineAdmittedAsJudged(t *testing.T) {
+	r := newRig(t, Config{Workers: 1, Priority: PriorityEDF}, nil)
+	app := r.app
+	ac, _ := app.ChannelDecl("ac", 2)
+	bc, _ := app.ChannelDecl("bc", 2)
+	a, _ := app.TaskDecl(TData{Name: "A", Period: ms(10)})
+	b, _ := app.TaskDecl(TData{Name: "B", Period: ms(20), Deadline: ms(5)})
+	c, _ := app.TaskDecl(TData{Name: "C"})
+	for _, id := range []TID{a, b, c} {
+		if _, err := app.VersionDecl(id, spin(us(100)), nil, VSelect{WCET: us(100)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := app.ChannelConnect(a, c, ac); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.ChannelConnect(b, c, bc); err != nil {
+		t.Fatal(err)
+	}
+	r.runMain(t, ms(30), func(ctx rt.Ctx) {
+		if d := app.tasks[c].effDeadline; d != ms(5) {
+			t.Errorf("runtime deadline of C = %v, want 5ms", d)
+		}
+		set, _, err := (&Reconfig{a: app, c: ctx}).validate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range set.Tasks {
+			if row.Name == "C" {
+				if row.Deadline != app.tasks[c].effDeadline || row.Period != ms(10) {
+					t.Errorf("admission row of C: period %v deadline %v, want 10ms and the runtime's %v",
+						row.Period, row.Deadline, app.tasks[c].effDeadline)
+				}
+				return
+			}
+		}
+		t.Error("no admission row for C")
+	})
+}

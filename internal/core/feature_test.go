@@ -313,7 +313,7 @@ func TestMultiModeStopAlterRestart(t *testing.T) {
 		for !r.app.drained() {
 			c.Sleep(ms(1))
 		}
-		for r.app.workersLive.Load() > 0 || r.app.schedLive.Load() > 0 {
+		for r.app.runLive.Load() > 0 {
 			c.Sleep(ms(1))
 		}
 		t2, err := r.app.TaskDecl(TData{Name: "phase2", Period: ms(5)})

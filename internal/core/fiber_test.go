@@ -24,7 +24,7 @@ func fibersSpawned(a *App) int {
 
 // quiesce waits until a stopped App's workers and scheduler have retired.
 func quiesce(c rt.Ctx, a *App) {
-	for a.workersLive.Load() > 0 || a.schedLive.Load() > 0 {
+	for a.runLive.Load() > 0 {
 		c.Sleep(100 * time.Microsecond)
 	}
 }

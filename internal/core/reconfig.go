@@ -90,6 +90,9 @@ type Reconfig struct {
 	retuneOrder      []TID
 	pubs, subs       []reconfigEndpoint
 	mode             *uint32
+	// g is the target's edge relation: validate (or resolve, at Start)
+	// builds it, and derivation walks it for inherited timing.
+	g *txGraph
 }
 
 // Reconfigure runs one transactional reconfiguration: fn stages the changes,
@@ -706,7 +709,8 @@ func (tx *Reconfig) validate() (*taskset.Set, analysis.Admission, error) {
 		return nil, adm, fmt.Errorf("%w: %d staged edges, %d edge slots free (MaxChannels=%d)",
 			ErrTooMany, len(tx.stagedEdges), freeEdges, len(a.edges))
 	}
-	g := tx.graph()
+	tx.g = tx.graph()
+	g := tx.g
 
 	pl := a.env.Platform()
 	globalSpeed := 1.0
@@ -931,45 +935,75 @@ func (tx *Reconfig) targetTasks() iter.Seq2[*task, TData] {
 }
 
 // txGraph is the target configuration's edge relation, indexed by TID:
-// each task's in-edge sources and zero-delay out-edge destinations, in edge
-// order. A nil *txGraph is the relation without edges.
+// each task's in-edge sources (the embedded walk's In) and zero-delay
+// out-edge destinations, in edge order. A nil *txGraph is the relation
+// without edges.
 type txGraph struct {
-	in, out [][]TID
-	zeroIn  []bool  // some in-edge carries no delay tokens
-	color   []uint8 // cycle search: white, grey, black
-	seen    []int32 // the rootTiming walk that last reached the task
-	walk    int32
+	RootWalk[TID]
+	out    [][]TID
+	zeroIn []bool  // some in-edge carries no delay tokens
+	color  []uint8 // cycle search: white, grey, black
 }
 
 // graph builds the target's edge relation — the live edges the transaction
 // keeps, in slot order, then the staged ones — or returns nil when the
-// target has no edges. Caller holds a.mu, or the App is quiescent (Start).
+// target has no edges. A first pass counts each task's edges, so each
+// relation fills one backing array: a build allocates the same few objects
+// whatever the edge count. Caller holds a.mu, or the App is quiescent
+// (Start).
 func (tx *Reconfig) graph() *txGraph {
 	a := tx.a
-	var g *txGraph
-	add := func(src, dst TID, delay int) {
-		if g == nil {
-			n := a.ntasks
-			g = &txGraph{in: make([][]TID, n), out: make([][]TID, n),
-				zeroIn: make([]bool, n), color: make([]uint8, n), seen: make([]int32, n)}
+	edges := func(f func(src, dst TID, delay int)) {
+		for i := 0; i < a.nedges; i++ {
+			// A kept edge with an endpoint outside the target belongs to a
+			// task draining from an earlier epoch.
+			if e := &a.edges[i]; !e.dead && !tx.severs(e) && tx.inTarget(e.src) && tx.inTarget(e.dst) {
+				f(e.src, e.dst, e.initial)
+			}
 		}
-		g.in[dst] = append(g.in[dst], src)
+		for _, se := range tx.stagedEdges {
+			f(se.src, se.dst, se.delay)
+		}
+	}
+	n := a.ntasks
+	var nin, nout []int
+	edges(func(src, dst TID, delay int) {
+		if nin == nil {
+			nin, nout = make([]int, n), make([]int, n)
+		}
+		nin[dst]++
+		if delay == 0 {
+			nout[src]++
+		}
+	})
+	if nin == nil {
+		return nil
+	}
+	g := &txGraph{RootWalk: NewRootWalk(carve(nin)), out: carve(nout),
+		zeroIn: make([]bool, n), color: make([]uint8, n)}
+	edges(func(src, dst TID, delay int) {
+		g.In[dst] = append(g.In[dst], src)
 		if delay == 0 {
 			g.out[src] = append(g.out[src], dst)
 			g.zeroIn[dst] = true
 		}
-	}
-	for i := 0; i < a.nedges; i++ {
-		// A kept edge with an endpoint outside the target belongs to a task
-		// draining from an earlier epoch.
-		if e := &a.edges[i]; !e.dead && !tx.severs(e) && tx.inTarget(e.src) && tx.inTarget(e.dst) {
-			add(e.src, e.dst, e.initial)
-		}
-	}
-	for _, se := range tx.stagedEdges {
-		add(se.src, se.dst, se.delay)
-	}
+	})
 	return g
+}
+
+// carve returns one empty list per count, each with room for its count,
+// cut from one backing array.
+func carve(counts []int) [][]TID {
+	total := 0
+	for _, k := range counts {
+		total += k
+	}
+	all := make([]TID, total)
+	lists := make([][]TID, len(counts))
+	for i, k := range counts {
+		lists[i], all = all[:0:k], all[k:]
+	}
+	return lists
 }
 
 // inputs reports whether task id has in-edges in the target, and whether
@@ -978,7 +1012,7 @@ func (g *txGraph) inputs(id TID) (hasIn, zeroIn bool) {
 	if g == nil {
 		return false, false
 	}
-	return len(g.in[id]) > 0, g.zeroIn[id]
+	return len(g.In[id]) > 0, g.zeroIn[id]
 }
 
 // cycle runs the depth-first search over zero-delay edges from task id and
@@ -1002,38 +1036,69 @@ func (g *txGraph) cycle(id TID) TID {
 	return -1
 }
 
-// rootTiming walks the target's in-edges back from data-activated task id
-// to its periodic roots and returns the smallest root period with its
-// matching effective deadline. Each walk stamps the tasks it reaches with
-// its own number, so no walk has anything to clear. Caller holds a.mu.
-func (g *txGraph) rootTiming(tx *Reconfig, id TID) (time.Duration, time.Duration) {
+// rootTiming is the graph-timing rule (RootWalk.RootTiming) over the
+// target: task id's root period and deadline, 0 and 0 without edges.
+// Caller holds a.mu, or the App is quiescent.
+func (g *txGraph) rootTiming(tx *Reconfig, id TID) (period, deadline time.Duration) {
 	if g == nil {
 		return 0, 0
 	}
-	g.walk++
-	return g.rootWalk(tx, id)
+	return g.RootTiming(id, tx.targetData)
 }
 
-func (g *txGraph) rootWalk(tx *Reconfig, id TID) (bestP, bestD time.Duration) {
-	if g.seen[id] == g.walk {
-		return 0, 0
-	}
-	g.seen[id] = g.walk
-	for _, src := range g.in[id] {
+// RootWalk is a task graph's in-edge relation, walked by the graph-timing
+// rule (RootTiming). Admission, derivation and the spec bridge all take a
+// data-activated task's timing from it.
+type RootWalk[ID ~int] struct {
+	In   [][]ID // each task's in-edge sources
+	seen []int32
+	walk int32
+}
+
+// NewRootWalk returns the walk over in, each task's in-edge sources.
+func NewRootWalk[ID ~int](in [][]ID) RootWalk[ID] {
+	return RootWalk[ID]{In: in, seen: make([]int32, len(in))}
+}
+
+// RootTiming is the graph-timing rule. Walking back over in-edges from task
+// id, it stops at each root — a task that is periodic, sporadic or without
+// in-edges, as the runtime's root flag — and returns the smallest root
+// period (0 when no root has one) and the smallest root effective deadline
+// (explicit, else the period; 0 when no root has one). data gives each
+// task's timing. Each walk stamps the tasks it reaches with its own number,
+// so no walk has anything to clear and none allocates.
+func (w *RootWalk[ID]) RootTiming(id ID, data func(ID) TData) (period, deadline time.Duration) {
+	w.walk++
+	w.seen[id] = w.walk
+	return w.rootWalk(id, data)
+}
+
+func (w *RootWalk[ID]) rootWalk(id ID, data func(ID) TData) (period, deadline time.Duration) {
+	for _, src := range w.In[id] {
+		if w.seen[src] == w.walk {
+			continue
+		}
+		w.seen[src] = w.walk
 		var p, d time.Duration
-		if sd := tx.targetData(src); sd.Period > 0 {
+		if sd := data(src); sd.Period > 0 || sd.Sporadic || len(w.In[src]) == 0 {
 			p, d = sd.Period, sd.Deadline
 			if d == 0 {
 				d = p
 			}
 		} else {
-			p, d = g.rootWalk(tx, src)
+			p, d = w.rootWalk(src, data)
 		}
-		if p > 0 && (bestP == 0 || p < bestP) {
-			bestP, bestD = p, d
-		}
+		period, deadline = minPositive(period, p), minPositive(deadline, d)
 	}
-	return bestP, bestD
+	return period, deadline
+}
+
+// minPositive returns the smaller of a and b, ignoring a zero.
+func minPositive(a, b time.Duration) time.Duration {
+	if b > 0 && (a == 0 || b < a) {
+		return b
+	}
+	return a
 }
 
 // admit runs the online admission test, keyed on Config.Mapping and
@@ -1223,11 +1288,11 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 	}
 	a.pendingDeadTopics = append(a.pendingDeadTopics, tx.removeTopicOrder...)
 	// Derived scheduling state for the new epoch; validate checked every
-	// task of it.
+	// task of it, and its graph holds the same edges as the live lists.
 	a.rebuildGraphLocked()
 	for i := 0; i < a.ntasks; i++ {
 		if t := &a.tasks[i]; t.state == taskRunning || t.state == taskAdmitted {
-			a.deriveTaskLocked(t)
+			a.deriveTaskLocked(tx, t)
 		}
 	}
 	a.refreshTopicsAfterCommitLocked(tx)

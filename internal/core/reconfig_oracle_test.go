@@ -19,8 +19,9 @@ import (
 // The admission rebuild validate and admit used before they read the task
 // table in place: a merged copy of the target configuration, a map from TID
 // to merged index, per-transaction adjacency slices and a seen slice cleared
-// before every root walk. It is kept here, unchanged in behaviour, as the
-// oracle TestAdmissionMatchesRebuild holds the in-place pass to.
+// before every root walk. It is kept here as the oracle
+// TestAdmissionMatchesRebuild holds the in-place pass to, unchanged in
+// behaviour but for its root walk, which follows the graph-timing rule.
 
 // rebuildTask is the rebuild's view of one task of the target configuration
 // (post-drain steady state).
@@ -335,8 +336,10 @@ func (rb *rebuild) admit() error {
 	return nil
 }
 
-// rootTiming walks the merged predecessor relation back to periodic roots
-// and returns the smallest root period with its matching effective deadline.
+// rootTiming walks the merged predecessor relation back to the roots —
+// periodic, sporadic or without in-edges — and returns the smallest root
+// period and the smallest root effective deadline: the graph-timing rule
+// (RootWalk.RootTiming), written here independently of it.
 func (rb *rebuild) rootTiming(i int, seen []bool) (time.Duration, time.Duration) {
 	if seen[i] {
 		return 0, 0
@@ -345,12 +348,15 @@ func (rb *rebuild) rootTiming(i int, seen []bool) (time.Duration, time.Duration)
 	var bestP, bestD time.Duration
 	consider := func(p, d time.Duration) {
 		if p > 0 && (bestP == 0 || p < bestP) {
-			bestP, bestD = p, d
+			bestP = p
+		}
+		if d > 0 && (bestD == 0 || d < bestD) {
+			bestD = d
 		}
 	}
 	for _, pi := range rb.preds[i] {
 		m := &rb.merged[pi]
-		if m.d.Period > 0 {
+		if m.d.Period > 0 || m.d.Sporadic || len(rb.preds[pi]) == 0 {
 			d := m.d.Deadline
 			if d == 0 {
 				d = m.d.Period

@@ -450,6 +450,79 @@ func TestReconfigureAllocsIndependentOfLiveTasks(t *testing.T) {
 	}
 }
 
+// TestRetuneAllocsIndependentOfChainLength retunes the root of a chain of
+// 10, 100 and 1,000 tasks (a periodic root feeding data-activated tasks, each
+// with a WCET) on a stopped OSEnv App. Admission and the commit's derivation
+// walk every task back to the root; one transaction must allocate the same
+// small number of objects at every length.
+func TestRetuneAllocsIndependentOfChainLength(t *testing.T) {
+	objs := map[int]uint64{}
+	for _, n := range []int{10, 100, 1000} {
+		objs[n] = chainRetuneAllocs(t, n)
+		t.Logf("%d-task chain: %d objects per retune", n, objs[n])
+	}
+	if objs[10] != objs[100] || objs[10] != objs[1000] || objs[10] > 64 {
+		t.Errorf("objects per one-task retune: %v; want equal at every length and at most 64", objs)
+	}
+}
+
+// chainRetuneAllocs returns the mean objects one root retune allocates on a
+// chain of n tasks.
+func chainRetuneAllocs(t *testing.T, n int) uint64 {
+	const runs = 10
+	env := rt.NewOSEnv()
+	app, err := New(Config{Workers: 1, Priority: PriorityEDF, MaxTasks: n, MaxChannels: n}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noop := func(*ExecCtx, any) error { return nil }
+	root := TData{Name: "c0", Period: ms(10)}
+	prev := TID(-1)
+	for i := 0; i < n; i++ {
+		d := TData{Name: fmt.Sprint("c", i)}
+		if i == 0 {
+			d = root
+		}
+		id, err := app.TaskDecl(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := app.VersionDecl(id, noop, nil, VSelect{WCET: us(1)}); err != nil {
+			t.Fatal(err)
+		}
+		if prev >= 0 {
+			ch, err := app.ChannelDecl(fmt.Sprint("e", i), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := app.ChannelConnect(prev, id, ch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prev = id
+	}
+	var objs uint64
+	env.RunMain(func(c rt.Ctx) {
+		retune := func(k int) {
+			d := root
+			d.Period = ms(10 + k%2*10)
+			if err := app.Reconfigure(c, func(tx *Reconfig) error { return tx.Retune(0, d) }); err != nil {
+				t.Errorf("retune %d: %v", k, err)
+			}
+		}
+		retune(0)
+		retune(1)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for k := 2; k < runs+2; k++ {
+			retune(k)
+		}
+		runtime.ReadMemStats(&m1)
+		objs = (m1.Mallocs - m0.Mallocs) / runs
+	})
+	return objs
+}
+
 // reconfigureAllocs returns the mean objects and bytes one transaction
 // allocates against n live tasks.
 func reconfigureAllocs(t *testing.T, n int) (objs, bytes uint64) {

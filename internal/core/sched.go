@@ -31,7 +31,7 @@ func (a *App) Start(c rt.Ctx) error {
 	// mutating shared state and so the stopping flag can be reset safely.
 	// The wait comes before reconfigMu: a draining job may itself call
 	// Reconfigure, and must not block on a lock held by this wait.
-	for a.workersLive.Load() > 0 || a.schedLive.Load() > 0 {
+	for a.runLive.Load() > 0 {
 		c.Sleep(100 * time.Microsecond)
 	}
 	// Serialise against live-reconfiguration transactions: a Reconfigure
@@ -117,15 +117,15 @@ func (a *App) Start(c rt.Ctx) error {
 	a.publishViewLocked()
 
 	for _, w := range a.workers {
-		a.workersLive.Add(1)
+		a.runLive.Add(1)
 		a.handTo(w, a.spare(w))
 	}
 	// Spawn the scheduler thread on its private core (online mappings).
 	if a.cfg.Mapping != MappingOffline {
 		a.liveThreads.Add(1)
-		a.schedLive.Add(1)
+		a.runLive.Add(1)
 		a.schedTh = a.env.Spawn("yas-sched", a.cfg.SchedulerCore, func(tc rt.Ctx) {
-			defer a.schedLive.Add(-1)
+			defer a.runLive.Add(-1)
 			a.schedulerLoop(tc)
 		})
 	}
@@ -156,15 +156,10 @@ func (a *App) Cleanup(c rt.Ctx) {
 	}
 	a.stopping.Store(true)
 	// Let in-flight jobs drain: wait until every released job has completed,
-	// then terminate. Poll at tick granularity but no slower than a
-	// millisecond — an application of hour-long periods (or one retuned to
-	// them) must not stall its own teardown by a scheduler period.
-	drainPoll := a.schedPeriodOr(time.Millisecond)
-	if drainPoll > time.Millisecond {
-		drainPoll = time.Millisecond
-	}
+	// then terminate. The poll is a fixed millisecond, not the scheduler
+	// grid: release offsets can make the grid 1 ns.
 	for !a.drained() {
-		c.Sleep(drainPoll)
+		c.Sleep(time.Millisecond)
 	}
 	a.terminating.Store(true)
 	for _, w := range a.workers {
@@ -192,13 +187,6 @@ func (a *App) Cleanup(c rt.Ctx) {
 // reconfiguration may retune it while the scheduler loop runs.
 func (a *App) schedPeriodNow() time.Duration {
 	return time.Duration(a.schedPeriodNs.Load())
-}
-
-func (a *App) schedPeriodOr(d time.Duration) time.Duration {
-	if p := a.schedPeriodNow(); p > 0 {
-		return p
-	}
-	return d
 }
 
 // drained reports whether every released job has completed and no release

@@ -512,7 +512,7 @@ func (f *fiber) run(c rt.Ctx) {
 		// next Start.
 		w.spares = append(w.spares, f)
 		w.fib.Store(nil)
-		a.workersLive.Add(-1)
+		a.runLive.Add(-1)
 	}
 }
 

@@ -43,7 +43,7 @@ func TestGenAlwaysValid(t *testing.T) {
 // itself, or every fuzz finding would drown in noise.
 func TestGenCleanRuns(t *testing.T) {
 	n := int64(60)
-	if testing.Short() || raceEnabled {
+	if testing.Short() {
 		n = 15
 	}
 	for seed := int64(0); seed < n; seed++ {
@@ -85,13 +85,7 @@ func TestFuzzerFindsStaleWaiterResortBug(t *testing.T) {
 		t.Fatal("seeded stale-waiter-resort bug not rediscovered within 60 accel_chain seeds")
 	}
 
-	// Under the race detector five shrink runs (not the ≈30 a full shrink
-	// takes) already cut the reproducer below the size bounds checked here.
-	var opts ShrinkOpts
-	if raceEnabled {
-		opts.MaxRuns = 5
-	}
-	min, runs := Shrink(found, ViolationPredicate(), opts)
+	min, runs := Shrink(found, ViolationPredicate(), ShrinkOpts{})
 	t.Logf("reproducer: %d tasks, %d churn phases, %d groups (%d shrink runs)",
 		min.TaskCount(), len(min.Churn), len(min.Groups), runs)
 	if min.TaskCount() > 10 {
@@ -164,12 +158,9 @@ func TestShrinkStopsAtBudget(t *testing.T) {
 	if !ViolationPredicate()(sc) {
 		t.Skip("seed 0 does not fail under the seeded bug on this build")
 	}
-	// A full shrink of this scenario takes ≈30 runs, so either budget
-	// stops it early.
-	budget := 10
-	if raceEnabled {
-		budget = 3
-	}
+	// A full shrink of this scenario takes ≈30 runs, so the budget stops
+	// it early.
+	const budget = 10
 	_, runs := Shrink(sc, ViolationPredicate(), ShrinkOpts{MaxRuns: budget})
 	if runs > budget {
 		t.Fatalf("shrink spent %d runs, budget %d", runs, budget)

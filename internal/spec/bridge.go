@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/yasmin-rt/yasmin/internal/core"
 	"github.com/yasmin-rt/yasmin/internal/offline"
 	"github.com/yasmin-rt/yasmin/internal/taskset"
 )
@@ -82,14 +83,15 @@ func FromTaskSet(set *taskset.Set) *Spec {
 // TaskSet flattens the spec into the descriptive model the schedulability
 // analyses consume: every task becomes an independent sporadic/periodic
 // task. Data-activated graph nodes inherit the smallest period and deadline
-// of their root ancestors (the conservative decomposition core.App.resolve
-// applies at Start); each task's WCET is the maximum over its versions.
+// of their root ancestors (core.RootWalk.RootTiming, the rule admission and
+// the runtime apply); each task's WCET is the maximum over its versions.
 // It fails when a task has no WCET information or no root ancestor.
 func (s *Spec) TaskSet() (*taskset.Set, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	preds := s.predIndices()
+	roots := core.NewRootWalk(s.predIndices())
+	data := func(i int) core.TData { return s.Tasks[i].data() }
 	out := &taskset.Set{Tasks: make([]taskset.Task, 0, len(s.Tasks))}
 	poolCount := func(name string) int {
 		for ai := range s.Accels {
@@ -141,7 +143,7 @@ func (s *Spec) TaskSet() (*taskset.Set, error) {
 		period := t.Period.Std()
 		deadline := t.Deadline.Std()
 		if period == 0 {
-			rp, rd := s.rootTiming(i, preds, make([]bool, len(s.Tasks)))
+			rp, rd := roots.RootTiming(i, data)
 			if rp == 0 {
 				return nil, fmt.Errorf("spec: task %q is aperiodic with no periodic root ancestor; cannot derive an analysis task set", t.Name)
 			}
@@ -236,34 +238,4 @@ func (s *Spec) predIndices() [][]int {
 		}
 	}
 	return preds
-}
-
-// rootTiming walks back through predecessors and returns the smallest
-// period among periodic/sporadic root ancestors and the matching effective
-// deadline (explicit, else the period).
-func (s *Spec) rootTiming(i int, preds [][]int, seen []bool) (time.Duration, time.Duration) {
-	if seen[i] {
-		return 0, 0
-	}
-	seen[i] = true
-	var bestP, bestD time.Duration
-	consider := func(p, d time.Duration) {
-		if p > 0 && (bestP == 0 || p < bestP) {
-			bestP = p
-			bestD = d
-		}
-	}
-	for _, pi := range preds[i] {
-		t := &s.Tasks[pi]
-		if t.Period > 0 {
-			d := t.Deadline.Std()
-			if d == 0 {
-				d = t.Period.Std()
-			}
-			consider(t.Period.Std(), d)
-		} else {
-			consider(s.rootTiming(pi, preds, seen))
-		}
-	}
-	return bestP, bestD
 }

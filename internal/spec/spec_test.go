@@ -452,6 +452,34 @@ func TestTaskSetBridge(t *testing.T) {
 	}
 }
 
+// TestTaskSetTwoRoots: a data-activated task fed by two roots inherits the
+// smallest root period and, independently, the smallest root deadline (the
+// graph-timing rule), not the deadline of the smallest-period root.
+func TestTaskSetTwoRoots(t *testing.T) {
+	ms := func(n int) Duration { return Duration(time.Duration(n) * time.Millisecond) }
+	wcet := []VersionSpec{{WCET: Duration(100 * time.Microsecond)}}
+	s := &Spec{
+		Name: "two-roots",
+		Channels: []ChannelSpec{
+			{Name: "ac", Capacity: 1, Src: "A", Dst: "C"},
+			{Name: "bc", Capacity: 1, Src: "B", Dst: "C"},
+		},
+		Tasks: []TaskSpec{
+			{Name: "A", Period: ms(10), Versions: wcet},
+			{Name: "B", Period: ms(20), Deadline: ms(5), Versions: wcet},
+			{Name: "C", Versions: wcet},
+		},
+	}
+	set, err := s.TaskSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := set.Tasks[2]
+	if c.Name != "C" || c.Period != ms(10).Std() || c.Deadline != ms(5).Std() {
+		t.Fatalf("C = %s period %v deadline %v, want period 10ms deadline 5ms", c.Name, c.Period, c.Deadline)
+	}
+}
+
 // TestOfflineBridge: the spec maps onto the off-line synthesiser input and
 // synthesizes a feasible table for the diamond.
 func TestOfflineBridge(t *testing.T) {
