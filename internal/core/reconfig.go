@@ -935,7 +935,7 @@ func (tx *Reconfig) targetTasks() iter.Seq2[*task, TData] {
 }
 
 // txGraph is the target configuration's edge relation, indexed by TID:
-// each task's in-edge sources (the embedded walk's In) and zero-delay
+// each task's in-edge sources (the embedded walk's in) and zero-delay
 // out-edge destinations, in edge order. A nil *txGraph is the relation
 // without edges.
 type txGraph struct {
@@ -982,7 +982,7 @@ func (tx *Reconfig) graph() *txGraph {
 	g := &txGraph{RootWalk: NewRootWalk(carve(nin)), out: carve(nout),
 		zeroIn: make([]bool, n), color: make([]uint8, n)}
 	edges(func(src, dst TID, delay int) {
-		g.In[dst] = append(g.In[dst], src)
+		g.in[dst] = append(g.in[dst], src)
 		if delay == 0 {
 			g.out[src] = append(g.out[src], dst)
 			g.zeroIn[dst] = true
@@ -1012,7 +1012,7 @@ func (g *txGraph) inputs(id TID) (hasIn, zeroIn bool) {
 	if g == nil {
 		return false, false
 	}
-	return len(g.In[id]) > 0, g.zeroIn[id]
+	return len(g.in[id]) > 0, g.zeroIn[id]
 }
 
 // cycle runs the depth-first search over zero-delay edges from task id and
@@ -1050,14 +1050,14 @@ func (g *txGraph) rootTiming(tx *Reconfig, id TID) (period, deadline time.Durati
 // rule (RootTiming). Admission, derivation and the spec bridge all take a
 // data-activated task's timing from it.
 type RootWalk[ID ~int] struct {
-	In   [][]ID // each task's in-edge sources
+	in   [][]ID // each task's in-edge sources
 	seen []int32
 	walk int32
 }
 
 // NewRootWalk returns the walk over in, each task's in-edge sources.
 func NewRootWalk[ID ~int](in [][]ID) RootWalk[ID] {
-	return RootWalk[ID]{In: in, seen: make([]int32, len(in))}
+	return RootWalk[ID]{in: in, seen: make([]int32, len(in))}
 }
 
 // RootTiming is the graph-timing rule. Walking back over in-edges from task
@@ -1074,13 +1074,13 @@ func (w *RootWalk[ID]) RootTiming(id ID, data func(ID) TData) (period, deadline 
 }
 
 func (w *RootWalk[ID]) rootWalk(id ID, data func(ID) TData) (period, deadline time.Duration) {
-	for _, src := range w.In[id] {
+	for _, src := range w.in[id] {
 		if w.seen[src] == w.walk {
 			continue
 		}
 		w.seen[src] = w.walk
 		var p, d time.Duration
-		if sd := data(src); sd.Period > 0 || sd.Sporadic || len(w.In[src]) == 0 {
+		if sd := data(src); sd.Period > 0 || sd.Sporadic || len(w.in[src]) == 0 {
 			p, d = sd.Period, sd.Deadline
 			if d == 0 {
 				d = p
