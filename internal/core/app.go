@@ -255,6 +255,7 @@ func (a *App) Init() {
 	a.mode.Store(0)
 	a.maskBit.Store(^uint32(0))
 	a.rec = trace.NewRecorder(a.cfg.RecordJobs)
+	a.rec.Reserve(a.cfg.MaxTasks, a.cfg.MaxVersionsPerTask)
 	if a.cfg.Telemetry != nil {
 		// Stream every record (job completions, reconfig commits,
 		// retirements, accel arbitration) into the telemetry pipeline;

@@ -287,3 +287,48 @@ func TestTaskNameIndexBoundedByLiveNames(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRecorderStatsBoundedUnderChurn churns uniquely named tasks through a
+// 16-slot App: each transaction removes dyn{i-1} and adds dyn{i}. The
+// recorder's named rows must stop growing once the by-name table is full,
+// while its totals still count every job.
+func TestRecorderStatsBoundedUnderChurn(t *testing.T) {
+	r := newRig(t, Config{Workers: 1, Priority: PriorityEDF, MaxTasks: 16}, nil)
+	declSpin(t, r.app, "dyn0", ms(1), us(50))
+	var rowsAt1k, rowsAt10k int
+	var jobsAt10k int64
+	r.runMain(t, ms(20200), func(c rt.Ctx) {
+		for i := 1; i <= 10000; i++ {
+			err := r.app.Reconfigure(c, func(tx *Reconfig) error {
+				if err := tx.RemoveTaskByName(fmt.Sprint("dyn", i-1)); err != nil {
+					return err
+				}
+				id, err := tx.AddTask(TData{Name: fmt.Sprint("dyn", i), Period: ms(1)})
+				if err != nil {
+					return err
+				}
+				_, err = tx.AddVersion(id, spin(us(50)), nil, VSelect{WCET: us(50)})
+				return err
+			})
+			if err != nil {
+				t.Errorf("transaction %d: %v", i, err)
+				return
+			}
+			c.Sleep(ms(2))
+			switch i {
+			case 1000:
+				rowsAt1k = len(r.app.Recorder().TaskNames())
+			case 10000:
+				rowsAt10k = len(r.app.Recorder().TaskNames())
+				jobsAt10k = r.app.Recorder().TotalJobs()
+			}
+		}
+	})
+	if rowsAt1k != rowsAt10k {
+		t.Errorf("named stats rows: %d after 1,000 transactions, %d after 10,000", rowsAt1k, rowsAt10k)
+	}
+	if jobsAt10k < 10000 {
+		t.Errorf("TotalJobs = %d after 10,000 two-millisecond incarnations of a 1 ms task", jobsAt10k)
+	}
+	t.Logf("%d named rows, %d jobs", rowsAt10k, jobsAt10k)
+}

@@ -1262,7 +1262,6 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 		}
 		t.resetRun(now)
 		sh.mu.Unlock()
-		a.rec.Declare(t.d.Name)
 		rec.Admitted = append(rec.Admitted, t.d.Name)
 	}
 	// Staged topics go live; staged endpoints register. New subscribers

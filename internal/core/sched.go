@@ -75,7 +75,6 @@ func (a *App) Start(c rt.Ctx) error {
 			continue
 		}
 		t.state = taskRunning
-		a.rec.Declare(t.d.Name)
 		t.resetRun(a.startTime)
 		if t.periodicRoot() {
 			a.shards[t.shard.Load()].rel.arm(t)

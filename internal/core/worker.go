@@ -409,7 +409,7 @@ func (a *App) recordCompletion(j *job, w *workerState, now time.Duration, accelN
 	// Sink nodes additionally record the end-to-end graph metric.
 	if sink {
 		graphDL := j.stamp + j.t.effDeadline
-		a.rec.Record(trace.JobRecord{
+		a.rec.RecordGraph(trace.JobRecord{
 			Task:     j.t.graphName,
 			TaskID:   int(j.t.id),
 			Job:      int64(j.taskSeq),

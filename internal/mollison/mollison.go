@@ -105,6 +105,7 @@ func Run(seed int64, pl *platform.Platform, set *taskset.Set, cfg Config) (*Resu
 		set:   set,
 		costs: &pl.Costs,
 	}
+	st.rec.Reserve(len(set.Tasks), 1)
 	st.lock.RetryCost = pl.Costs.SpinRetry
 	st.lock.AcquireCost = pl.Costs.LockUncontended
 	// Pre-fill the release queue with each task's first job.
@@ -175,7 +176,7 @@ func (st *state) workerLoop(p *sim.Proc, coreID int, speed float64) {
 		fin := p.Now().Duration()
 		st.rec.Record(trace.JobRecord{
 			Task:     tk.Name,
-			TaskID:   tk.ID,
+			TaskID:   j.task,
 			Core:     coreID,
 			Release:  j.release,
 			Start:    fin - wall,

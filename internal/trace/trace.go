@@ -14,16 +14,52 @@ import (
 	"time"
 )
 
+// summary is the count, sum, min and max of duration samples. A Stat
+// guards one with its lock; a stats block keeps one of response times.
+type summary struct {
+	count         int64
+	sum, min, max time.Duration
+}
+
+func (a *summary) add(d time.Duration) {
+	if a.count == 0 || d < a.min {
+		a.min = d
+	}
+	if a.count == 0 || d > a.max {
+		a.max = d
+	}
+	a.count++
+	a.sum += d
+}
+
+func (a *summary) merge(o summary) {
+	if o.count == 0 {
+		return
+	}
+	if a.count == 0 || o.min < a.min {
+		a.min = o.min
+	}
+	if a.count == 0 || o.max > a.max {
+		a.max = o.max
+	}
+	a.count += o.count
+	a.sum += o.sum
+}
+
+func (a *summary) mean() time.Duration {
+	if a.count == 0 {
+		return 0
+	}
+	return a.sum / time.Duration(a.count)
+}
+
 // Stat is an online summary of duration samples: count, min, max and mean.
 // The zero value is ready to use. Safe for concurrent use.
 type Stat struct {
 	//yasmin:lockrank 6
-	mu    sync.Mutex
-	name  string
-	count int64
-	sum   time.Duration
-	min   time.Duration
-	max   time.Duration
+	mu   sync.Mutex
+	name string
+	agg  summary
 }
 
 // NewStat creates a named stat.
@@ -38,48 +74,38 @@ func (s *Stat) Name() string { return s.name }
 func (s *Stat) Add(d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.count == 0 || d < s.min {
-		s.min = d
-	}
-	if s.count == 0 || d > s.max {
-		s.max = d
-	}
-	s.count++
-	s.sum += d
+	s.agg.add(d)
 }
 
 // Count returns the number of samples.
 func (s *Stat) Count() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.count
+	return s.agg.count
 }
 
 // Max returns the largest sample (0 if empty).
 func (s *Stat) Max() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.max
+	return s.agg.max
 }
 
 // Mean returns the average sample (0 if empty).
 func (s *Stat) Mean() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.count == 0 {
-		return 0
-	}
-	return s.sum / time.Duration(s.count)
+	return s.agg.mean()
 }
 
 // Summary returns the paper-style "<min, max, avg>" triple.
 func (s *Stat) Summary() (min, max, mean time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.count == 0 {
+	if s.agg.count == 0 {
 		return 0, 0, 0
 	}
-	return s.min, s.max, s.sum / time.Duration(s.count)
+	return s.agg.min, s.agg.max, s.agg.mean()
 }
 
 // String formats the triple in microseconds, like Table 2.
@@ -204,23 +230,67 @@ type Stream interface {
 // (record paths load it without taking the Recorder mutex).
 type streamBox struct{ s Stream }
 
+// namedCap bounds the by-name table. It is far above the distinct names any
+// stock scenario, corpus file or example folds there, so their reports keep
+// every row; a churning App that outnames it evicts its oldest rows.
+const namedCap = 256
+
 // Recorder accumulates job records and per-task statistics. Safe for
 // concurrent use. With a Stream attached (SetStream), every record is
 // additionally forwarded lock-free before local aggregation.
+//
+// Per-task stats live in a slot table (Reserve) indexed by
+// JobRecord.TaskID: a job takes only its slot's block lock. A slot re-used
+// by another task name folds its old totals into the by-name table, which
+// also takes every record that has no slot. That table keeps at most
+// namedCap names; evicting the oldest keeps its jobs and misses in the
+// totals. Readers merge slots and the table by name.
 type Recorder struct {
 	//yasmin:lockrank 5
 	mu        sync.Mutex
 	jobs      []JobRecord
 	keepJobs  bool
-	perTask   map[string]*TaskStats
 	reconfigs []ReconfigRecord
 	retires   []RetireEvent
 	accels    []AccelEvent
 
+	slots    []slot
+	versions int // version counters per slot block
+
+	byName        map[string]*totals
+	order         []string // byName's keys in insertion order, a ring from oldest
+	oldest        int
+	evicts        int64 // by-name rows evicted
+	evictedJobs   int64 // jobs of the evicted rows
+	evictedMisses int64 // misses of the evicted rows
+
 	stream atomic.Pointer[streamBox]
 }
 
-// TaskStats aggregates per-task outcomes.
+// totals is one task's running outcome.
+type totals struct {
+	resp             summary // response times; resp.count is the job count
+	misses, preempts int64
+	worstLate        time.Duration // worst (finish - deadline), floored at 0
+	versions         []int64       // jobs per version
+}
+
+// block is one slot's totals under the task name that owns them.
+type block struct {
+	//yasmin:lockrank 6
+	mu   sync.Mutex
+	name string
+	totals
+}
+
+// slot holds a task slot's job stats and, once its task records as a graph
+// sink, the end-to-end graph stats.
+type slot struct {
+	block
+	graph atomic.Pointer[block]
+}
+
+// TaskStats is a snapshot of one task's outcomes.
 type TaskStats struct {
 	Task      string
 	Jobs      int64
@@ -234,7 +304,23 @@ type TaskStats struct {
 // NewRecorder creates a recorder. keepJobs retains every JobRecord (needed
 // for Gantt export); per-task stats are always kept.
 func NewRecorder(keepJobs bool) *Recorder {
-	return &Recorder{keepJobs: keepJobs, perTask: make(map[string]*TaskStats)}
+	return &Recorder{keepJobs: keepJobs, byName: make(map[string]*totals)}
+}
+
+// Reserve gives the recorder one stats slot per task ID in [0, slots), each
+// counting versions [0, versions). It allocates the whole table at once, so
+// a reserved task's first record allocates nothing. Call it before the
+// first record; a record whose TaskID is outside the table goes to the
+// by-name table.
+func (r *Recorder) Reserve(slots, versions int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.slots = make([]slot, slots)
+	r.versions = versions
+	counts := make([]int64, slots*versions)
+	for i := range r.slots {
+		r.slots[i].versions = counts[i*versions : (i+1)*versions : (i+1)*versions]
+	}
 }
 
 // SetStream attaches (or, with nil, detaches) a streaming consumer. From
@@ -251,56 +337,206 @@ func (r *Recorder) SetStream(s Stream) {
 	r.stream.Store(&streamBox{s: s})
 }
 
-// Declare creates the stats entry of a task before its first job, so that
-// the first Record of the task allocates nothing: admission (Start, a
-// reconfiguration commit) pays for it instead of the job path. Readers skip
-// entries that have recorded no job yet.
-func (r *Recorder) Declare(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.declareLocked(name)
-}
-
-func (r *Recorder) declareLocked(name string) *TaskStats {
-	ts := r.perTask[name]
-	if ts == nil {
-		ts = &TaskStats{ //yasmin:alloc-ok a task's first record when Declare did not run first
-			Task:     name,
-			Response: NewStat(name + "/response"),
-			Versions: make(map[int]int64),
-		}
-		// A small map allocates its storage on the first insert: touch it
-		// here, not in the first Record.
-		ts.Versions[0] = 0
-		delete(ts.Versions, 0)
-		r.perTask[name] = ts
-	}
-	return ts
-}
-
 // Record adds a completed job.
 //
 //yasmin:noalloc
 func (r *Recorder) Record(j JobRecord) {
+	r.record(&j, false)
+}
+
+// RecordGraph adds one end-to-end instance of a graph whose sink is task
+// j.TaskID; j.Task names the graph. It is kept apart from the sink's own
+// jobs.
+//
+//yasmin:noalloc
+func (r *Recorder) RecordGraph(j JobRecord) {
+	r.record(&j, true)
+}
+
+//yasmin:noalloc
+func (r *Recorder) record(j *JobRecord, graph bool) {
 	if b := r.stream.Load(); b != nil {
-		b.s.StreamJob(j)
+		b.s.StreamJob(*j)
+	}
+	if r.keepJobs {
+		r.mu.Lock()
+		r.jobs = append(r.jobs, *j)
+		r.mu.Unlock()
+	}
+	if uint(j.TaskID) >= uint(len(r.slots)) {
+		r.mu.Lock()
+		r.namedLocked(j.Task).add(j)
+		r.mu.Unlock()
+		return
+	}
+	b := &r.slots[j.TaskID].block
+	if graph {
+		b = r.graphBlock(j.TaskID)
+	}
+	b.mu.Lock()
+	if b.name != j.Task {
+		b.mu.Unlock()
+		r.mu.Lock()
+		b.mu.Lock()
+		r.claimLocked(b, j.Task)
+		r.mu.Unlock()
+	}
+	b.add(j)
+	b.mu.Unlock()
+}
+
+// graphBlock returns slot id's graph block, allocating it on first use.
+//
+//yasmin:noalloc
+func (r *Recorder) graphBlock(id int) *block {
+	s := &r.slots[id]
+	if g := s.graph.Load(); g != nil {
+		return g
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.keepJobs {
-		r.jobs = append(r.jobs, j)
+	g := s.graph.Load()
+	if g == nil {
+		g = &block{totals: totals{versions: make([]int64, r.versions)}} //yasmin:alloc-ok once per graph sink slot
+		s.graph.Store(g)
 	}
-	ts := r.declareLocked(j.Task)
-	ts.Jobs++
-	ts.Preempts += int64(j.Preempts)
+	return g
+}
+
+// claimLocked hands block b to task name. Totals another task left there
+// fold into the by-name table first. Caller holds r.mu and b.mu.
+//
+//yasmin:noalloc
+func (r *Recorder) claimLocked(b *block, name string) {
+	if b.name == name {
+		return
+	}
+	if b.resp.count > 0 {
+		r.namedLocked(b.name).merge(&b.totals)
+	}
+	b.totals = totals{versions: b.versions}
+	clear(b.versions)
+	b.name = name
+}
+
+// namedLocked returns name's by-name row, creating it and, when the table
+// is full, evicting the oldest row into the evicted totals. Caller holds
+// r.mu.
+//
+//yasmin:noalloc
+func (r *Recorder) namedLocked(name string) *totals {
+	if t := r.byName[name]; t != nil {
+		return t
+	}
+	var t *totals
+	if len(r.order) < namedCap {
+		t = new(totals) //yasmin:alloc-ok a name's first by-name row
+		r.order = append(r.order, name)
+	} else {
+		old := r.order[r.oldest]
+		t = r.byName[old]
+		delete(r.byName, old)
+		r.evicts++
+		r.evictedJobs += t.resp.count
+		r.evictedMisses += t.misses
+		*t = totals{versions: t.versions[:0]}
+		r.order[r.oldest] = name
+		r.oldest = (r.oldest + 1) % namedCap
+	}
+	r.byName[name] = t
+	return t
+}
+
+// add counts job j. A reserved block's version counters cover every
+// version core sends; others grow on demand.
+//
+//yasmin:noalloc
+func (t *totals) add(j *JobRecord) {
+	t.resp.add(j.ResponseTime())
+	t.preempts += int64(j.Preempts)
 	if j.Missed {
-		ts.Misses++
+		t.misses++
 	}
-	if late := j.Finish - j.Deadline; late > ts.WorstLate {
-		ts.WorstLate = late
+	if late := j.Finish - j.Deadline; late > t.worstLate {
+		t.worstLate = late
 	}
-	ts.Response.Add(j.ResponseTime())
-	ts.Versions[j.Version]++
+	for j.Version >= len(t.versions) {
+		t.versions = append(t.versions, 0)
+	}
+	t.versions[j.Version]++
+}
+
+// merge folds o into t.
+//
+//yasmin:noalloc
+func (t *totals) merge(o *totals) {
+	if o.resp.count == 0 {
+		return
+	}
+	t.resp.merge(o.resp)
+	t.misses += o.misses
+	t.preempts += o.preempts
+	t.worstLate = max(t.worstLate, o.worstLate)
+	for len(t.versions) < len(o.versions) {
+		t.versions = append(t.versions, 0)
+	}
+	for v, n := range o.versions {
+		t.versions[v] += n
+	}
+}
+
+// snapshot returns t as task name's TaskStats.
+func (t *totals) snapshot(name string) *TaskStats {
+	ts := &TaskStats{
+		Task: name, Jobs: t.resp.count, Misses: t.misses, Preempts: t.preempts, WorstLate: t.worstLate,
+		Response: &Stat{name: name + "/response", agg: t.resp},
+		Versions: make(map[int]int64),
+	}
+	for v, n := range t.versions {
+		if n > 0 {
+			ts.Versions[v] = n
+		}
+	}
+	return ts
+}
+
+// eachBlockLocked calls fn on every slot block that recorded a job, under
+// that block's lock. Caller holds r.mu.
+func (r *Recorder) eachBlockLocked(fn func(b *block)) {
+	for i := range r.slots {
+		s := &r.slots[i]
+		for _, b := range [2]*block{&s.block, s.graph.Load()} {
+			if b == nil {
+				continue
+			}
+			b.mu.Lock()
+			if b.resp.count > 0 {
+				fn(b)
+			}
+			b.mu.Unlock()
+		}
+	}
+}
+
+// mergedLocked returns every task's totals, merged by name. Caller holds
+// r.mu.
+func (r *Recorder) mergedLocked() map[string]*totals {
+	out := make(map[string]*totals, len(r.byName))
+	add := func(name string, t *totals) {
+		acc := out[name]
+		if acc == nil {
+			acc = new(totals)
+			out[name] = acc
+		}
+		acc.merge(t)
+	}
+	for name, t := range r.byName {
+		if t.resp.count > 0 {
+			add(name, t)
+		}
+	}
+	r.eachBlockLocked(func(b *block) { add(b.name, &b.totals) })
+	return out
 }
 
 // RecordReconfig adds one committed reconfiguration epoch.
@@ -372,25 +608,36 @@ func (r *Recorder) Jobs() []JobRecord {
 	return out
 }
 
-// Task returns the stats for one task (nil if it recorded no job).
+// Task returns a snapshot of one task's stats (nil if it recorded no job).
 func (r *Recorder) Task(name string) *TaskStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if ts := r.perTask[name]; ts != nil && ts.Jobs > 0 {
-		return ts
+	var acc totals
+	if t := r.byName[name]; t != nil {
+		acc.merge(t)
 	}
-	return nil
+	r.eachBlockLocked(func(b *block) {
+		if b.name == name {
+			acc.merge(&b.totals)
+		}
+	})
+	if acc.resp.count == 0 {
+		return nil
+	}
+	return acc.snapshot(name)
 }
 
 // TaskNames returns the names of all tasks that recorded a job, sorted.
 func (r *Recorder) TaskNames() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.perTask))
-	for n, ts := range r.perTask {
-		if ts.Jobs > 0 {
-			names = append(names, n)
-		}
+	return sortedNames(r.mergedLocked())
+}
+
+func sortedNames(m map[string]*totals) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
@@ -398,65 +645,63 @@ func (r *Recorder) TaskNames() []string {
 
 // TotalJobs returns the number of recorded jobs across tasks.
 func (r *Recorder) TotalJobs() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var n int64
-	for _, ts := range r.perTask {
-		n += ts.Jobs
-	}
-	return n
+	jobs, _ := r.totalJobsMisses()
+	return jobs
 }
 
 // TotalMisses returns the number of missed deadlines across tasks.
 func (r *Recorder) TotalMisses() int64 {
+	_, misses := r.totalJobsMisses()
+	return misses
+}
+
+// totalJobsMisses sums jobs and misses over slots, by-name rows and evicted
+// rows without allocating.
+func (r *Recorder) totalJobsMisses() (jobs, misses int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var n int64
-	for _, ts := range r.perTask {
-		n += ts.Misses
+	jobs, misses = r.evictedJobs, r.evictedMisses
+	for _, t := range r.byName {
+		jobs += t.resp.count
+		misses += t.misses
 	}
-	return n
+	r.eachBlockLocked(func(b *block) {
+		jobs += b.resp.count
+		misses += b.misses
+	})
+	return jobs, misses
 }
 
 // MissRatio returns misses/jobs (0 when no jobs ran).
 func (r *Recorder) MissRatio() float64 {
-	jobs := r.TotalJobs()
+	jobs, misses := r.totalJobsMisses()
 	if jobs == 0 {
 		return 0
 	}
-	return float64(r.TotalMisses()) / float64(jobs)
+	return float64(misses) / float64(jobs)
 }
 
 // WriteSummary prints a per-task table, sorted by task name so the output
 // is byte-stable across runs and record interleavings (CI diffs the
-// summaries). The whole table is one consistent snapshot: the task list and
-// every row come from a single lock acquisition, so concurrent Record calls
-// cannot tear the view mid-print.
+// summaries). The whole table is one consistent snapshot taken under one
+// hold of the Recorder mutex, so concurrent Record calls cannot tear the
+// view mid-print. Evicted by-name rows are counted on a last line.
 func (r *Recorder) WriteSummary(w io.Writer) error {
-	type row struct {
-		task           string
-		jobs, misses   int64
-		preempts       int64
-		min, max, mean time.Duration
-	}
 	r.mu.Lock()
-	rows := make([]row, 0, len(r.perTask))
-	for _, ts := range r.perTask {
-		if ts.Jobs == 0 {
-			continue
-		}
-		min, max, mean := ts.Response.Summary()
-		rows = append(rows, row{
-			task: ts.Task, jobs: ts.Jobs, misses: ts.Misses,
-			preempts: ts.Preempts, min: min, max: max, mean: mean,
-		})
-	}
+	merged := r.mergedLocked()
+	evicts, evictedJobs, evictedMisses := r.evicts, r.evictedJobs, r.evictedMisses
 	r.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].task < rows[j].task })
-	for _, ts := range rows {
+	for _, n := range sortedNames(merged) {
+		t := merged[n]
 		_, err := fmt.Fprintf(w, "%-24s jobs=%-6d misses=%-5d resp<%v,%v,%v> preempts=%d\n",
-			ts.task, ts.jobs, ts.misses, ts.min, ts.max, ts.mean, ts.preempts)
+			n, t.resp.count, t.misses, t.resp.min, t.resp.max, t.resp.mean(), t.preempts)
 		if err != nil {
+			return fmt.Errorf("trace: write summary: %w", err)
+		}
+	}
+	if evicts > 0 {
+		if _, err := fmt.Fprintf(w, "(%d retired task rows evicted: %d jobs, %d misses counted in totals only)\n",
+			evicts, evictedJobs, evictedMisses); err != nil {
 			return fmt.Errorf("trace: write summary: %w", err)
 		}
 	}
@@ -530,46 +775,47 @@ func (k OverheadKind) String() string {
 	return fmt.Sprintf("OverheadKind(%d)", int(k))
 }
 
-// Overheads aggregates overhead samples by kind plus a global stat — the
-// measurement behind Fig. 2. Safe for concurrent use.
+// Overheads aggregates overhead samples by kind — the measurement behind
+// Fig. 2. Safe for concurrent use: a sample takes only its kind's Stat lock.
 type Overheads struct {
-	//yasmin:lockrank 5
-	mu     sync.Mutex
-	all    *Stat
-	byKind map[OverheadKind]*Stat
+	kinds [OverheadLock]Stat // indexed by kind - 1
 }
 
 // NewOverheads creates an empty overhead aggregate.
 func NewOverheads() *Overheads {
-	return &Overheads{
-		all:    NewStat("overhead"),
-		byKind: make(map[OverheadKind]*Stat),
+	o := &Overheads{}
+	for i := range o.kinds {
+		o.kinds[i].name = OverheadKind(i + 1).String()
 	}
+	return o
 }
 
 // Add records one overhead sample.
 //
 //yasmin:noalloc
 func (o *Overheads) Add(k OverheadKind, d time.Duration) {
-	o.mu.Lock()
-	st := o.byKind[k]
-	if st == nil {
-		st = NewStat(k.String()) //yasmin:alloc-ok the first sample of a kind
-		o.byKind[k] = st
-	}
-	o.mu.Unlock()
-	st.Add(d)
-	o.all.Add(d)
+	o.kinds[k-1].Add(d)
 }
 
-// Total returns the global stat across kinds.
-func (o *Overheads) Total() *Stat { return o.all }
+// Total returns a snapshot of the samples of every kind, merged.
+func (o *Overheads) Total() *Stat {
+	all := NewStat("overhead")
+	for i := range o.kinds {
+		st := &o.kinds[i]
+		st.mu.Lock()
+		agg := st.agg
+		st.mu.Unlock()
+		all.agg.merge(agg)
+	}
+	return all
+}
 
 // Kind returns the stat for one kind (nil if no samples).
 func (o *Overheads) Kind(k OverheadKind) *Stat {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.byKind[k]
+	if uint(k-1) >= uint(len(o.kinds)) || o.kinds[k-1].Count() == 0 {
+		return nil
+	}
+	return &o.kinds[k-1]
 }
 
 // SchedStats is the scheduler core's counter snapshot: idle-list wakes,

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -235,35 +237,153 @@ func TestRecordWithStreamAllocationFree(t *testing.T) {
 	}
 }
 
-// TestDeclaredFirstRecordAllocatesNothing pins the point of Declare: the
-// first job of a declared task records without allocating, and a declared
-// task with no job stays invisible to every reader.
-func TestDeclaredFirstRecordAllocatesNothing(t *testing.T) {
+// TestReservedFirstRecordAllocatesNothing pins the point of Reserve: the
+// first job of every reserved slot records without allocating, and a slot
+// with no job stays invisible to every reader.
+func TestReservedFirstRecordAllocatesNothing(t *testing.T) {
 	r := NewRecorder(false)
+	r.Reserve(200, 2)
 	names := make([]string, 200)
 	for i := range names {
 		names[i] = "t" + strings.Repeat("x", i)
-		r.Declare(names[i])
 	}
 	if got := r.TaskNames(); len(got) != 0 {
-		t.Fatalf("TaskNames lists declared tasks without jobs: %v", got)
-	}
-	if r.Task(names[0]) != nil {
-		t.Fatal("Task returns a declared task without jobs")
+		t.Fatalf("TaskNames lists slots without jobs: %v", got)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteSummary(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("WriteSummary printed declared tasks without jobs: %q (%v)", buf.String(), err)
+		t.Fatalf("WriteSummary printed slots without jobs: %q (%v)", buf.String(), err)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(len(names)-1, func() {
-		r.Record(JobRecord{Task: names[i], Finish: ms(1), Deadline: ms(2), Version: 1})
+		r.Record(JobRecord{Task: names[i], TaskID: i, Finish: ms(1), Deadline: ms(2), Version: 1})
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("first Record of a declared task allocates %.1f times, want 0", allocs)
+		t.Fatalf("first Record into a reserved slot allocates %.1f times, want 0", allocs)
 	}
-	if ts := r.Task(names[0]); ts == nil || ts.Jobs != 1 || ts.Versions[1] != 1 {
-		t.Fatalf("declared task's first job not recorded: %+v", ts)
+	if ts := r.Task(names[0]); ts == nil || ts.Jobs != 1 || ts.Versions[1] != 1 || len(ts.Versions) != 1 {
+		t.Fatalf("slot's first job not recorded: %+v", ts)
+	}
+	if got := len(r.TaskNames()); got != len(names) { // AllocsPerRun runs once more to warm up
+		t.Fatalf("%d names after %d first records", got, len(names))
+	}
+}
+
+// TestSlotReuse retires X from its slot and hands the slot to Y: X keeps
+// its row, Y starts at zero, and X re-added elsewhere under its name keeps
+// accumulating.
+func TestSlotReuse(t *testing.T) {
+	r := NewRecorder(false)
+	r.Reserve(4, 2)
+	r.Record(JobRecord{Task: "X", TaskID: 1, Release: 0, Finish: ms(3), Deadline: ms(2), Missed: true})
+	r.Record(JobRecord{Task: "X", TaskID: 1, Release: ms(10), Finish: ms(11), Deadline: ms(20), Version: 1})
+	r.Record(JobRecord{Task: "Y", TaskID: 1, Release: 0, Finish: ms(5), Deadline: ms(10)})
+	x, y := r.Task("X"), r.Task("Y")
+	if x == nil || x.Jobs != 2 || x.Misses != 1 || x.WorstLate != ms(1) || x.Versions[0] != 1 || x.Versions[1] != 1 {
+		t.Fatalf("X after its slot went to Y: %+v", x)
+	}
+	if min, max, _ := x.Response.Summary(); min != ms(1) || max != ms(3) {
+		t.Fatalf("X response <%v, %v>, want <1ms, 3ms>", min, max)
+	}
+	if y == nil || y.Jobs != 1 || y.Misses != 0 || y.Versions[0] != 1 || len(y.Versions) != 1 {
+		t.Fatalf("Y in X's old slot: %+v", y)
+	}
+	// X comes back in another slot; a second graph sink shares its name.
+	r.Record(JobRecord{Task: "X", TaskID: 3, Release: 0, Finish: ms(7), Deadline: ms(10)})
+	r.RecordGraph(JobRecord{Task: "graph:X", TaskID: 3, Finish: ms(9), Deadline: ms(10)})
+	x = r.Task("X")
+	if x.Jobs != 3 || x.Misses != 1 || x.Versions[0] != 2 {
+		t.Fatalf("X re-added: %+v", x)
+	}
+	if min, max, mean := x.Response.Summary(); min != ms(1) || max != ms(7) || mean != ms(11)/3 {
+		t.Fatalf("X re-added response <%v, %v, %v>", min, max, mean)
+	}
+	if g := r.Task("graph:X"); g == nil || g.Jobs != 1 {
+		t.Fatalf("graph record of X's slot: %+v", g)
+	}
+	if got := r.TotalJobs(); got != 5 {
+		t.Fatalf("TotalJobs = %d, want 5", got)
+	}
+	if names := r.TaskNames(); strings.Join(names, ",") != "X,Y,graph:X" {
+		t.Fatalf("TaskNames = %v", names)
+	}
+}
+
+// TestByNameTableBounded records more distinct names than the by-name
+// table holds: the oldest rows go, the totals stay exact and the summary
+// counts the evictions.
+func TestByNameTableBounded(t *testing.T) {
+	r := NewRecorder(false)
+	n := namedCap + 10
+	for i := 0; i < n; i++ {
+		r.Record(JobRecord{Task: fmt.Sprint("n", i), Finish: ms(3), Deadline: ms(2), Missed: i%2 == 0})
+	}
+	if got := len(r.TaskNames()); got != namedCap {
+		t.Fatalf("%d named rows, want the cap %d", got, namedCap)
+	}
+	if r.Task("n0") != nil || r.Task(fmt.Sprint("n", n-1)) == nil {
+		t.Fatal("eviction is not oldest first")
+	}
+	if jobs, misses := r.TotalJobs(), r.TotalMisses(); jobs != int64(n) || misses != int64(n+1)/2 {
+		t.Fatalf("totals %d jobs, %d misses after evictions, want %d, %d", jobs, misses, n, (n+1)/2)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteSummary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "(10 retired task rows evicted: 10 jobs, 5 misses counted in totals only)") {
+		t.Fatalf("summary does not count evictions:\n%s", buf.String())
+	}
+}
+
+// TestReadersAllocationFree pins the totals the scenario report reads
+// inside the benchmark's measuring window, and the overhead sample path.
+func TestReadersAllocationFree(t *testing.T) {
+	r := NewRecorder(false)
+	r.Reserve(64, 2)
+	for i := 0; i < 64; i++ {
+		r.Record(JobRecord{Task: fmt.Sprint("t", i), TaskID: i, Finish: ms(1), Deadline: ms(2)})
+		r.Record(JobRecord{Task: fmt.Sprint("u", i), TaskID: 64 + i, Finish: ms(1), Deadline: ms(2)})
+	}
+	o := NewOverheads()
+	for name, fn := range map[string]func(){
+		"TotalJobs":     func() { r.TotalJobs() },
+		"TotalMisses":   func() { r.TotalMisses() },
+		"Overheads.Add": func() { o.Add(OverheadDispatch, time.Microsecond) },
+	} {
+		if avg := testing.AllocsPerRun(100, fn); avg != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", name, avg)
+		}
+	}
+}
+
+// TestConcurrentRecordsIntoOneSlot runs two recorders of one slot at once
+// (run it under -race): no job is lost.
+func TestConcurrentRecordsIntoOneSlot(t *testing.T) {
+	r := NewRecorder(false)
+	r.Reserve(2, 1)
+	const n = 2000
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				r.Record(JobRecord{Task: "shared", TaskID: 1, Finish: ms(1), Deadline: ms(2)})
+				r.RecordGraph(JobRecord{Task: "graph:shared", TaskID: 1, Finish: ms(1), Deadline: ms(2)})
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		r.TotalJobs()
+		r.Task("shared")
+	}
+	wg.Wait()
+	if ts := r.Task("shared"); ts == nil || ts.Jobs != 2*n {
+		t.Fatalf("shared slot: %+v, want %d jobs", ts, 2*n)
+	}
+	if got := r.TotalJobs(); got != 4*n {
+		t.Fatalf("TotalJobs = %d, want %d", got, 4*n)
 	}
 }
