@@ -374,30 +374,6 @@ func BenchmarkDRSGeneration(b *testing.B) {
 
 // --- Ablations of the scheduler's design choices ---
 
-// BenchmarkAblationSchedulerPeriod compares the paper's GCD-periodic
-// scheduler activation against a denser fixed activation grid.
-func BenchmarkAblationSchedulerPeriod(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		period time.Duration
-	}{
-		{"gcd-derived", 0},
-		{"fixed-100us", 100 * time.Microsecond},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ovh, err := runAblation(int64(i+1), func(cfg *core.Config) {
-					cfg.SchedulerPeriod = tc.period
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(ovh.Microseconds()), "sched-avg-µs")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationLocks compares POSIX-style and lock-free queue locking.
 func BenchmarkAblationLocks(b *testing.B) {
 	for _, tc := range []struct {

@@ -160,11 +160,7 @@ type App struct {
 	taskErrors atomic.Int64
 	firstError atomic.Pointer[error] // first task-function error; read lock-free by FirstError
 
-	// schedPeriodNs is the scheduler tick period in nanoseconds; atomic
-	// because a committed reconfiguration retunes it while the scheduler
-	// loop reads it every tick.
-	schedPeriodNs atomic.Int64
-	startTime     time.Duration
+	startTime time.Duration
 	// jobSeq numbers releases globally; atomic because phase-1 ticks,
 	// TaskActivate and App.mu release paths allocate concurrently.
 	jobSeq atomic.Int64
@@ -904,42 +900,6 @@ const (
 	grey
 	black
 )
-
-// schedGCD derives the scheduler thread period: the GCD of all declared
-// periods (Section 3.3). Non-zero release offsets join the GCD so that
-// offset releases also fall on the scheduler's activation grid.
-func (a *App) schedGCD() time.Duration {
-	var g time.Duration
-	acc := func(d time.Duration) {
-		if d <= 0 {
-			return
-		}
-		if g == 0 {
-			g = d
-		} else {
-			g = gcdDur(g, d)
-		}
-	}
-	for i := 0; i < a.ntasks; i++ {
-		t := &a.tasks[i]
-		if t.d.Sporadic || !(t.state == taskAdmitted || t.state == taskRunning) {
-			continue
-		}
-		acc(t.d.Period)
-		acc(t.d.ReleaseOffset)
-	}
-	if g == 0 {
-		g = time.Millisecond
-	}
-	return g
-}
-
-func gcdDur(x, y time.Duration) time.Duration {
-	for y != 0 {
-		x, y = y, x%y
-	}
-	return x
-}
 
 // resetJob wipes a job slot for a new incarnation. Field-wise: the struct
 // carries atomics and cannot be copied.

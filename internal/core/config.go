@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/yasmin-rt/yasmin/internal/rt"
 	"github.com/yasmin-rt/yasmin/internal/trace"
@@ -198,9 +197,6 @@ type Config struct {
 	// paper's "future work" in Section 3.2): while a job's accelerator
 	// section runs, the CPU worker is released to execute other jobs.
 	AsyncAccel bool
-	// SchedulerPeriod overrides the scheduler thread period; 0 derives the
-	// GCD of all task periods, as the paper specifies.
-	SchedulerPeriod time.Duration
 	// RecordAccel retains every accelerator-arbitration event
 	// (acquire/park/boost/grant/requeue/release; memory grows with run
 	// length). The scenario checker, yasmin-sim's per-pool report and the
@@ -280,9 +276,6 @@ func (c *Config) Validate() error {
 	}
 	if c.VersionSelect == SelectUser && c.UserSelect == nil {
 		return fmt.Errorf("core: SelectUser requires a UserSelect callback")
-	}
-	if c.SchedulerPeriod < 0 {
-		return fmt.Errorf("core: negative SchedulerPeriod")
 	}
 	switch c.Mapping {
 	case MappingGlobal, MappingPartitioned, MappingOffline:

@@ -76,7 +76,6 @@ func TestConfigValidation(t *testing.T) {
 		{"mismatched cores", Config{Workers: 2, WorkerCores: []int{1}}, false},
 		{"bad alpha", Config{Workers: 1, TradeoffAlpha: 1.5}, false},
 		{"user select without callback", Config{Workers: 1, VersionSelect: SelectUser}, false},
-		{"negative sched period", Config{Workers: 1, SchedulerPeriod: -1}, false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,23 +135,6 @@ func TestPeriodicTaskRunsOnSchedule(t *testing.T) {
 	}
 	if r.app.Overruns() != 0 {
 		t.Errorf("overruns = %d", r.app.Overruns())
-	}
-}
-
-func TestSchedulerPeriodIsGCD(t *testing.T) {
-	r := newRig(t, Config{Workers: 2}, nil)
-	for _, p := range []time.Duration{ms(250), ms(100), ms(40)} {
-		tid, err := r.app.TaskDecl(TData{Name: "t" + p.String(), Period: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.app.VersionDecl(tid, spin(ms(1)), nil, VSelect{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r.runMain(t, ms(500), nil)
-	if got := r.app.schedPeriodNow(); got != ms(10) {
-		t.Errorf("scheduler period = %v, want GCD 10ms", got)
 	}
 }
 

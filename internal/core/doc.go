@@ -5,11 +5,10 @@
 // The package mirrors the paper's C API (Table 1) in Go: an App is
 // configured statically (Config ~ the config.h header), tasks and their
 // versions are declared before Start, worker threads ("virtual CPUs") are
-// pinned to cores, a dedicated scheduler thread releases jobs on the
-// activation grid (the GCD of all task periods), and preemption is
-// delivered by signals (rt.Thread.Interrupt) that suspend the running
-// job's execution context. All structures are sized by the Config at New:
-// nothing on the scheduling path allocates, following the paper's
+// pinned to cores, a dedicated scheduler thread releases jobs, and
+// preemption is delivered by signals (rt.Thread.Interrupt) that suspend the
+// running job's execution context. All structures are sized by the Config
+// at New: nothing on the scheduling path allocates, following the paper's
 // MISRA-style discipline.
 //
 // # Scheduler hot path
@@ -20,10 +19,12 @@
 // one per worker. A scheduler tick pops each heap's due heads and re-keys them in
 // place, so tick cost is O(log n) per released job — independent of the
 // declared task count — and the heap heads give the exact next release
-// instant, so grid points before it are slept over entirely. Data-activated
-// (DAG successor) jobs are released inline when their producer completes;
-// seeded delay tokens and input backlogs exposed by reconfigurations go
-// through a small catch-up queue drained each tick.
+// instant, which is when the scheduler next wakes. The paper wakes it on the
+// GCD of all task periods instead; such a grid, anchored at Start, only
+// delays releases that fall off it, like those of a task admitted mid-run.
+// Data-activated (DAG successor) jobs are released inline when their
+// producer completes; seeded delay tokens and input backlogs exposed by
+// reconfigurations go through a small catch-up queue drained each tick.
 //
 // # Extensions beyond the paper
 //

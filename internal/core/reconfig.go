@@ -1167,15 +1167,15 @@ func anyBlocking(blocking []time.Duration) bool {
 // commit applies the admitted plan at the quiescent barrier: the App lock is
 // held while the declaration tables and derived scheduling state are
 // rewritten, so every job observes either the old or the new epoch, never a
-// mix. Running jobs are untouched; the scheduler is nudged so retuned grids
-// take effect immediately.
+// mix. Running jobs are untouched; the scheduler is nudged so admitted and
+// retuned releases take effect immediately.
 func (tx *Reconfig) commit() {
 	a := tx.a
 	started := a.started.Load()
 	rec := tx.commitTables(started)
 	a.rec.RecordReconfig(rec)
-	// Nudge the scheduler so admitted tasks and retuned grids take effect
-	// now, not at the old grid's next tick.
+	// Nudge the scheduler out of its sleep toward the old earliest release:
+	// an admitted or retuned task may now release before it.
 	if started && a.schedTh != nil {
 		a.schedTh.Interrupt()
 	}
@@ -1301,17 +1301,13 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 		a.retireDrainedLocked(&a.tasks[id], now)
 	}
 	a.reapDeadTopicsLocked()
-	// Scheduler grid: the GCD may have changed. Release-heap keys are
-	// absolute instants, so only the transaction's own tasks move: admitted
-	// periodic roots and retuned tasks that became one (or changed home) arm,
-	// and whatever stopped being a periodic root disarms. Pulled-in retunes
-	// re-keyed above, so arming them again moves nothing; no key changes
-	// here. A retune that moved the task's home already disarmed it under
-	// the OLD home lock (see deriveTaskLocked), so locking the current home
-	// covers both cases.
-	if a.cfg.SchedulerPeriod == 0 && started {
-		a.schedPeriodNs.Store(int64(a.schedGCD()))
-	}
+	// Release heaps: keys are absolute instants, so only the transaction's
+	// own tasks move: admitted periodic roots and retuned tasks that became
+	// one (or changed home) arm, and whatever stopped being a periodic root
+	// disarms. Pulled-in retunes re-keyed above, so arming them again moves
+	// nothing; no key changes here. A retune that moved the task's home
+	// already disarmed it under the OLD home lock (see deriveTaskLocked), so
+	// locking the current home covers both cases.
 	if started {
 		for _, ids := range [2][]TID{tx.retuneOrder, tx.addedTasks} {
 			for _, id := range ids {

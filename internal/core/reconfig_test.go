@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -62,6 +64,83 @@ func TestReconfigureAddTaskLive(t *testing.T) {
 	}
 	if recs[0].Pause <= 0 {
 		t.Errorf("pause = %v, want > 0 (barrier charged)", recs[0].Pause)
+	}
+}
+
+// addLateTask admits "late" (10ms period, 4ms WCET) in one transaction.
+func addLateTask(t *testing.T, app *App, c rt.Ctx, fn TaskFunc) {
+	t.Helper()
+	if err := app.Reconfigure(c, func(tx *Reconfig) error {
+		id, err := tx.AddTask(TData{Name: "late", Period: ms(10)})
+		if err != nil {
+			return err
+		}
+		_, err = tx.AddVersion(id, fn, nil, VSelect{WCET: ms(4)})
+		return err
+	}); err != nil {
+		t.Errorf("Reconfigure: %v", err)
+	}
+}
+
+// TestReconfigureAddTaskOffsetReleasesOnTime admits a task 3ms after Start,
+// so its releases (commit + k*period) fall between base's. Each must fire
+// when it is due: waiting for base's next release instead would start the
+// 4ms job up to 7ms late and miss nearly every 10ms deadline.
+func TestReconfigureAddTaskOffsetReleasesOnTime(t *testing.T) {
+	r := newRig(t, Config{Workers: 2, Priority: PriorityEDF}, nil)
+	declSpin(t, r.app, "base", ms(10), ms(1))
+	r.runMain(t, ms(200), func(c rt.Ctx) {
+		c.SleepUntil(ms(3))
+		addLateTask(t, r.app, c, spin(ms(4)))
+	})
+	late := r.app.Recorder().Task("late")
+	if late == nil || late.Jobs < 19 {
+		t.Fatalf("late ran %v jobs, want ~20", late)
+	}
+	if late.Misses != 0 {
+		t.Errorf("late missed %d of %d deadlines, want 0", late.Misses, late.Jobs)
+	}
+	if worst := late.Response.Max(); worst >= ms(5) {
+		t.Errorf("late worst response %v, want < 5ms (4ms WCET released on time)", worst)
+	}
+}
+
+// TestReconfigureAddTaskOffsetReleasesOnTimeOSEnv is the wall-clock twin:
+// the admitted task's jobs must start within a timer overshoot of their
+// release, not at the next release of the task declared before Start.
+func TestReconfigureAddTaskOffsetReleasesOnTimeOSEnv(t *testing.T) {
+	env := rt.NewOSEnv()
+	env.Spin = false
+	app, err := New(Config{Workers: 2, Priority: PriorityEDF}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declSpin(t, app, "base", ms(10), ms(1))
+	var mu sync.Mutex
+	var lags []time.Duration
+	env.RunMain(func(c rt.Ctx) {
+		if err := app.Start(c); err != nil {
+			t.Errorf("Start: %v", err)
+			return
+		}
+		c.Sleep(ms(3))
+		addLateTask(t, app, c, func(x *ExecCtx, _ any) error {
+			mu.Lock()
+			lags = append(lags, x.Now()-x.Release())
+			mu.Unlock()
+			return x.Compute(ms(4))
+		})
+		c.Sleep(ms(200))
+		app.Stop(c)
+		app.Cleanup(c)
+	})
+	env.Wait()
+	if len(lags) < 10 {
+		t.Fatalf("late ran %d jobs, want ~20", len(lags))
+	}
+	sort.Slice(lags, func(i, j int) bool { return lags[i] < lags[j] })
+	if p50 := lags[len(lags)/2]; p50 >= ms(2) {
+		t.Errorf("late start - release p50 = %v over %d jobs, want < 2ms", p50, len(lags))
 	}
 }
 

@@ -3,8 +3,8 @@ package core
 // releaseHeap holds one shard's armed periodic roots as a binary min-heap
 // ordered by (nextRelease, id): the head is the shard's exact next release
 // instant, a tick pops only what is due, and each released job costs one
-// O(log n) sift. Keys are absolute instants, so a change of the scheduler
-// grid never touches it.
+// O(log n) sift. Keys are absolute instants, so only the tasks a
+// reconfiguration admits or retunes are ever re-keyed.
 //
 // The heap is intrusive — each task carries its slot in task.relIdx (-1
 // while not armed), the readyQueue/job.heapIdx idiom — and is not itself

@@ -9,6 +9,10 @@ import (
 	"github.com/yasmin-rt/yasmin/internal/trace"
 )
 
+// idlePoll is the scheduler's sleep when no periodic release is armed, and
+// Cleanup's drain poll.
+const idlePoll = time.Millisecond
+
 // slowRelease is one feedback-root release instance deferred from the
 // shard-locked phase of the tick to the App.mu phase (its delay-token state
 // is graph state).
@@ -48,11 +52,6 @@ func (a *App) Start(c rt.Ctx) error {
 	a.stopping.Store(false)
 	a.terminating.Store(false)
 	a.startTime = c.Now()
-	if a.cfg.SchedulerPeriod != 0 {
-		a.schedPeriodNs.Store(int64(a.cfg.SchedulerPeriod))
-	} else {
-		a.schedPeriodNs.Store(int64(a.schedGCD()))
-	}
 	// Fresh release shards for this run. Everything here runs quiescent (no
 	// worker/scheduler threads yet), so no shard locks are needed.
 	for _, sh := range a.shards {
@@ -155,10 +154,9 @@ func (a *App) Cleanup(c rt.Ctx) {
 	}
 	a.stopping.Store(true)
 	// Let in-flight jobs drain: wait until every released job has completed,
-	// then terminate. The poll is a fixed millisecond, not the scheduler
-	// grid: release offsets can make the grid 1 ns.
+	// then terminate.
 	for !a.drained() {
-		c.Sleep(time.Millisecond)
+		c.Sleep(idlePoll)
 	}
 	a.terminating.Store(true)
 	for _, w := range a.workers {
@@ -182,12 +180,6 @@ func (a *App) Cleanup(c rt.Ctx) {
 	a.reconfigMu.Unlock(c)
 }
 
-// schedPeriodNow returns the current scheduler tick period; a committed
-// reconfiguration may retune it while the scheduler loop runs.
-func (a *App) schedPeriodNow() time.Duration {
-	return time.Duration(a.schedPeriodNs.Load())
-}
-
 // drained reports whether every released job has completed and no release
 // pass is in flight — pure atomics, no locks. Ready queues, worker stacks
 // and accelerator waiter lists all hold live (allocated) jobs, so jobsLive
@@ -204,14 +196,17 @@ func (a *App) drained() bool {
 
 func (a *App) threadExit() { a.liveThreads.Add(-1) }
 
-// schedulerLoop is the dedicated scheduler thread (Section 3.3): it wakes on
-// the activation grid (the GCD of all task periods), releases due jobs,
-// dispatches them to worker queues, wakes idle workers and sends preemption
-// signals. Between ticks it sleeps (WaitSleep) — unlike Mollison & Anderson,
-// it never contends with workers for CPU time. Grid points before the
-// earliest armed release are skipped entirely: the thread sleeps straight to
-// the first grid point at or after it, so an idle or sparse schedule costs
-// nothing per empty tick.
+// schedulerLoop is the dedicated scheduler thread (Section 3.3): it wakes at
+// the earliest armed release, releases due jobs, dispatches them to worker
+// queues, wakes idle workers and sends preemption signals. Between ticks it
+// sleeps (WaitSleep) — unlike Mollison & Anderson, it never contends with
+// workers for CPU time. The paper wakes the thread on the GCD of all task
+// periods; a grid anchored at Start would only delay releases that fall off
+// it, such as those of a task a commit admits mid-run. Commits that admit or
+// retune tasks interrupt the sleep, so a new earlier release is never
+// missed. With nothing armed the thread sleeps idlePoll rather than parking:
+// a parking variant, equally correct since commits and Stop interrupt the
+// thread, measured no faster on the closed-loop OSEnv chain workload.
 //
 // The loop never takes App.mu in steady state: releases run per shard under
 // the leaf locks (phase 1), and only feedback roots or pending data
@@ -241,21 +236,11 @@ func (a *App) schedulerLoop(c rt.Ctx) {
 			a.dispatch(c)
 		}
 		a.ovh.Add(trace.OverheadSchedule, c.Now()-t0)
-		// Next grid point, recomputed from the activation grid every tick:
-		// a reconfiguration commit may retune the period (it interrupts the
-		// sleep below so a shorter grid takes effect immediately), and an
-		// overrun snaps forward to the next point without drifting.
-		period := a.schedPeriodNow()
-		next := a.startTime + ((c.Now()-a.startTime)/period+1)*period
-		if armed && due > next {
-			// Nothing can fire before due: snap it up to the grid and sleep
-			// through the empty ticks. Commits that admit or retune tasks
-			// interrupt the sleep, so a new earlier release is never missed.
-			k := (due - a.startTime + period - 1) / period
-			next = a.startTime + k*period
+		if !armed {
+			due = c.Now() + idlePoll
 		}
 		c.Charge(costs.TimerProgram)
-		if interrupted := c.SleepUntil(next); interrupted {
+		if interrupted := c.SleepUntil(due); interrupted {
 			if a.terminating.Load() {
 				return
 			}

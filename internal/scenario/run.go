@@ -337,15 +337,14 @@ func (sc *Scenario) buildApps(s *spec.Spec, gen *genState, opts RunOpts, env rt.
 			wcores[w] = base + 1 + w
 		}
 		cfg := core.Config{
-			Workers:         sc.Workers,
-			SchedulerCore:   base,
-			WorkerCores:     wcores,
-			Mapping:         core.MappingGlobal,
-			Priority:        core.PriorityEDF,
-			MaxTasks:        maxTasks,
-			MaxChannels:     len(p.Topics) + 1,
-			MaxPendingJobs:  pending,
-			SchedulerPeriod: sc.SchedulerPeriod.Std(),
+			Workers:        sc.Workers,
+			SchedulerCore:  base,
+			WorkerCores:    wcores,
+			Mapping:        core.MappingGlobal,
+			Priority:       core.PriorityEDF,
+			MaxTasks:       maxTasks,
+			MaxChannels:    len(p.Topics) + 1,
+			MaxPendingJobs: pending,
 			// The checker replays the arbitration events.
 			RecordAccel: len(sc.Accels) > 0,
 		}

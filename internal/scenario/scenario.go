@@ -30,8 +30,6 @@ type Scenario struct {
 	// Priority selects the priority assignment: "edf" (default), "rm",
 	// "dm".
 	Priority string `json:"priority,omitempty"`
-	// SchedulerPeriod overrides the scheduler grid; zero derives the GCD.
-	SchedulerPeriod spec.Duration `json:"scheduler_period,omitempty"`
 	// MaxPendingJobs bounds simultaneously live jobs; zero derives a bound
 	// from the task count.
 	MaxPendingJobs int `json:"max_pending_jobs,omitempty"`
@@ -402,9 +400,6 @@ func (sc *Scenario) Validate() error {
 	case "", "edf", "rm", "dm":
 	default:
 		return fmt.Errorf("scenario: unknown priority %q", sc.Priority)
-	}
-	if sc.SchedulerPeriod < 0 {
-		return fmt.Errorf("scenario: negative scheduler period")
 	}
 	if len(sc.Groups) == 0 && len(sc.Topics) == 0 {
 		return fmt.Errorf("scenario: needs at least one task group or topic shape")

@@ -30,9 +30,6 @@ func (sc *Scenario) WriteYAML() []byte {
 	if sc.Priority != "" {
 		w.str(0, "priority", sc.Priority)
 	}
-	if sc.SchedulerPeriod != 0 {
-		w.dur(0, "scheduler_period", sc.SchedulerPeriod)
-	}
 	if sc.MaxPendingJobs != 0 {
 		w.int(0, "max_pending_jobs", int64(sc.MaxPendingJobs))
 	}

@@ -39,14 +39,13 @@ func TestWriteYAMLRoundTripsCheckedInScenarios(t *testing.T) {
 func TestWriteYAMLRoundTripsAllFields(t *testing.T) {
 	cases := []*Scenario{
 		{
-			Name:            "full-single",
-			Seed:            1<<53 - 1,
-			Duration:        dms(250 * time.Millisecond),
-			Workers:         4,
-			Mapping:         "partitioned",
-			Priority:        "rm",
-			SchedulerPeriod: dms(time.Millisecond),
-			MaxPendingJobs:  512,
+			Name:           "full-single",
+			Seed:           1<<53 - 1,
+			Duration:       dms(250 * time.Millisecond),
+			Workers:        4,
+			Mapping:        "partitioned",
+			Priority:       "rm",
+			MaxPendingJobs: 512,
 			Accels: []AccelDecl{
 				{Name: "gpu", Count: 2},
 				{Name: "dsp"},
